@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="NAME,NAME,...",
         help="comma-separated indexed k-NN backends to time in the knn sweep "
-        "(sets REPRO_BENCH_KNN_BACKENDS; default: the bench's balltree,grid)",
+        "(sets REPRO_BENCH_KNN_BACKENDS; default: the bench's balltree)",
     )
     args, passthrough = parser.parse_known_args(argv)
     if passthrough and passthrough[0] == "--":

@@ -11,7 +11,7 @@ backend must be at least ``MIN_SPEEDUP_AT_LARGEST`` faster than brute force
 — the sublinear contract that justifies the ``"auto"`` crossover.
 
 Backends to time come from ``REPRO_BENCH_KNN_BACKENDS`` (comma-separated,
-default ``balltree,grid``); ``REPRO_BENCH_KNN_SMOKE=1`` shrinks the sweep to
+default ``balltree``); ``REPRO_BENCH_KNN_SMOKE=1`` shrinks the sweep to
 a seconds-long smoke run with no speedup floor (used by CI).
 """
 
@@ -32,7 +32,7 @@ REPETITIONS = 1 if SMOKE else 3
 
 BACKENDS = tuple(
     name.strip()
-    for name in os.environ.get("REPRO_BENCH_KNN_BACKENDS", "balltree,grid").split(",")
+    for name in os.environ.get("REPRO_BENCH_KNN_BACKENDS", "balltree").split(",")
     if name.strip()
 )
 

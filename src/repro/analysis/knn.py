@@ -1,19 +1,11 @@
 """k-nearest-neighbour search used by the Local Outlier Factor.
 
-Four interchangeable indexes are provided behind the :class:`KnnIndex`
+Two interchangeable indexes are provided behind the :class:`KnnIndex`
 interface:
 
 * :class:`BruteForceKnn` — vectorised exhaustive search (numpy); exact, no
   build cost, and in practice the fastest option below a few thousand
   reference points;
-* :class:`KdTreeKnn` — a from-scratch k-d tree; exact as well, provided as
-  an independent implementation the tests cross-check the brute-force
-  results against;
-* :class:`GridSimplexKnn` — a grid hash over the probability simplex:
-  reference pmf vectors are bucketed by quantised coordinates along the
-  highest-spread axes and queries search expanding shells of neighbouring
-  buckets until a provable distance bound guarantees no closer point
-  remains.  Sublinear per query on clustered reference sets;
 * :class:`BallTreeKnn` — a blocked ball tree: the reference set is split
   into leaf blocks with precomputed centroids and covering radii, and a
   query scans blocks in lower-bound order with vectorised per-block
@@ -47,27 +39,20 @@ above it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..config import KNN_BACKENDS
 from ..errors import ModelError
 
 __all__ = [
     "KnnIndex",
     "BruteForceKnn",
-    "KdTreeKnn",
-    "GridSimplexKnn",
     "BallTreeKnn",
     "KNN_BACKENDS",
     "AUTO_CROSSOVER_POINTS",
     "resolve_backend",
     "make_index",
 ]
-
-#: Names of the concrete index implementations (``"auto"`` resolves to one
-#: of these through :func:`resolve_backend`).
-KNN_BACKENDS = ("brute", "kdtree", "grid", "balltree")
 
 #: Reference size below which ``"auto"`` keeps the brute-force scan: under a
 #: few thousand points the exhaustive blocked distance matrix is fully
@@ -123,10 +108,6 @@ def make_index(kind: str, points: np.ndarray) -> "KnnIndex":
     resolved = resolve_backend(kind, len(points))
     if resolved == "brute":
         return BruteForceKnn(points)
-    if resolved == "kdtree":
-        return KdTreeKnn(points)
-    if resolved == "grid":
-        return GridSimplexKnn(points)
     return BallTreeKnn(points)
 
 
@@ -355,274 +336,11 @@ class BruteForceKnn(KnnIndex):
         self._extend_sq_norms(n_old)
 
 
-@dataclass
-class _KdNode:
-    """A node of the k-d tree (leaf when ``indices`` is set)."""
-
-    axis: int = -1
-    split: float = 0.0
-    left: "_KdNode | None" = None
-    right: "_KdNode | None" = None
-    indices: np.ndarray | None = None
-
-
-class KdTreeKnn(KnnIndex):
-    """Exact k-NN using a median-split k-d tree with leaf buckets."""
-
-    def __init__(self, points: np.ndarray, leaf_size: int = 16) -> None:
-        super().__init__(points)
-        if leaf_size <= 0:
-            raise ModelError("leaf_size must be positive")
-        self.leaf_size = int(leaf_size)
-        all_indices = np.arange(self.n_points)
-        self._root = self._build(all_indices, depth=0)
-
-    def _build(self, indices: np.ndarray, depth: int) -> _KdNode:
-        if len(indices) <= self.leaf_size:
-            return _KdNode(indices=indices)
-        subset = self.points[indices]
-        # Split along the axis with the largest spread; this keeps the tree
-        # useful even though pmf vectors concentrate on few dimensions.
-        spreads = subset.max(axis=0) - subset.min(axis=0)
-        axis = int(np.argmax(spreads))
-        if spreads[axis] <= 0:
-            # All points identical along every axis: make a leaf to avoid
-            # infinite recursion on duplicated points.
-            return _KdNode(indices=indices)
-        values = subset[:, axis]
-        split = float(np.median(values))
-        left_mask = values <= split
-        # Guard against degenerate splits where the median equals the max.
-        if left_mask.all() or not left_mask.any():
-            left_mask = values < split
-            if left_mask.all() or not left_mask.any():
-                return _KdNode(indices=indices)
-        node = _KdNode(axis=axis, split=split)
-        node.left = self._build(indices[left_mask], depth + 1)
-        node.right = self._build(indices[~left_mask], depth + 1)
-        return node
-
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        point, k = self._check_query(point, k)
-        # Same einsum form the batched paths use for query norms, so the
-        # accumulated value (and therefore every distance) is bit-identical.
-        point_norm = float(np.einsum("ij,ij->i", point[None, :], point[None, :])[0])
-        # best: list of (distance, index) kept sorted, at most k entries.
-        best_distances = np.full(k, np.inf)
-        best_indices = np.full(k, -1, dtype=int)
-
-        def _consider(indices: np.ndarray) -> None:
-            nonlocal best_distances, best_indices
-            # The shared canonical distance expression keeps leaf distances
-            # bit-identical to the other backends' results.
-            distances = self._candidate_distances(point, point_norm, indices)
-            all_d = np.concatenate([best_distances, distances])
-            all_i = np.concatenate([best_indices, indices])
-            # Sort by distance, equal distances by ascending point index, so
-            # duplicated points resolve identically to the other backends.
-            order = np.lexsort((all_i, all_d))[:k]
-            best_distances = all_d[order]
-            best_indices = all_i[order]
-
-        def _search(node: _KdNode) -> None:
-            if node.indices is not None:
-                _consider(node.indices)
-                return
-            value = point[node.axis]
-            first, second = (
-                (node.left, node.right) if value <= node.split else (node.right, node.left)
-            )
-            if first is not None:
-                _search(first)
-            # Only skip the far branch if the splitting plane is provably
-            # further than the current k-th best distance; compared in
-            # squared space with the slack that covers the canonical
-            # expansion's cancellation error.
-            plane_sq = (value - node.split) ** 2 * (1.0 - _BOUND_MARGIN)
-            if second is not None and (
-                plane_sq - _BOUND_SLACK_SQ <= best_distances[-1] ** 2
-            ):
-                _search(second)
-
-        _search(self._root)
-        valid = best_indices >= 0
-        return best_distances[valid], best_indices[valid]
-
-    def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_queries(queries, k)
-        distances = []
-        indices = []
-        for query in queries:
-            d, i = self.query(query, k)
-            distances.append(d)
-            indices.append(i)
-        return np.asarray(distances), np.asarray(indices)
-
-    def _absorb_points(self, n_old: int) -> None:
-        # A k-d tree has no cheap in-place insertion that preserves the
-        # median-split structure; rebuilding from the combined point set is
-        # exactly the from-scratch state, which is the contract.
-        self._root = self._build(np.arange(self.n_points), depth=0)
-
-
-class GridSimplexKnn(KnnIndex):
-    """Grid-hashed exact k-NN over the probability simplex.
-
-    Reference points are bucketed by their quantised coordinates along the
-    ``projection_dims`` highest-spread axes (pmf vectors concentrate their
-    variance on few event types, so a low-dimensional projection separates
-    the behaviour clusters well).  Cell widths are scaled to the observed
-    per-axis spread — pmf mass rarely covers the whole [0, 1] range, and an
-    unscaled grid would collapse every cluster into a handful of cells.
-
-    A query ranks the occupied cells by Chebyshev shell distance from its
-    own cell — one vectorised pass over the occupied-cell table, never an
-    enumeration of the exponentially many neighbouring offsets — and scans
-    them in two phases: nearest cells until ``k`` candidates seed the
-    running k-th distance, then one bulk gather of every remaining cell the
-    distance bound cannot rule out.  The bound is provable: a point in a
-    cell ``s`` shells away differs by at least ``s`` cells along some
-    projected axis, i.e. by more than ``(s - 1) * width`` in that coordinate
-    alone, so its full-space distance is at least ``(s - 1) * min_width``.
-
-    Candidate distances use the shared canonical expansion, and the final
-    ``k`` are the lexicographic minimum under ``(distance, index)``, so the
-    results are bit-identical to :class:`BruteForceKnn` — only the number of
-    points *examined* shrinks.  :meth:`add_points` hashes new points into
-    their buckets directly, which reproduces the rebuild state exactly
-    because buckets keep ascending insertion order.
-    """
-
-    def __init__(
-        self,
-        points: np.ndarray,
-        resolution: int | None = None,
-        projection_dims: int | None = None,
-    ) -> None:
-        super().__init__(points)
-        if projection_dims is None:
-            projection_dims = min(self.dimension, 3)
-        projection_dims = int(projection_dims)
-        if not 1 <= projection_dims <= self.dimension:
-            raise ModelError(
-                "projection_dims must be between 1 and the point dimension"
-            )
-        spreads = self.points.max(axis=0) - self.points.min(axis=0)
-        # Highest-spread axes carry the discriminating mass; stable argsort
-        # of the negated spreads keeps the axis choice deterministic.
-        ranked = np.argsort(-spreads, kind="stable")[:projection_dims]
-        self._axes = np.sort(ranked)
-        if resolution is None:
-            # Aim at a couple dozen points per occupied cell; finer cells
-            # tighten the rectangle bound (less quantisation slack) at the
-            # cost of a larger occupied-cell table to rank per query.
-            target_cells = max(1.0, self.n_points / 16.0)
-            resolution = int(round(target_cells ** (1.0 / projection_dims)))
-            resolution = max(2, min(40, resolution))
-        if resolution < 1:
-            raise ModelError("resolution must be >= 1")
-        self.resolution = int(resolution)
-        self._lows = self.points[:, self._axes].min(axis=0)
-        axis_spreads = self.points[:, self._axes].max(axis=0) - self._lows
-        # Zero-spread axes put everything in one cell; width 1.0 keeps the
-        # transform finite (and, as pmf coordinates live in [0, 1], keeps
-        # the per-axis separation a valid lower bound).
-        self._widths = np.where(
-            axis_spreads > 0, axis_spreads / self.resolution, 1.0
-        )
-        self._buckets: dict[tuple[int, ...], np.ndarray] = {}
-        self._insert(self.points, 0)
-
-    # ------------------------------------------------------------------ #
-    # Bucketing
-    # ------------------------------------------------------------------ #
-    def _cells(self, points: np.ndarray) -> np.ndarray:
-        scaled = (points[:, self._axes] - self._lows) / self._widths
-        return np.floor(scaled).astype(np.int64)
-
-    def _insert(self, points: np.ndarray, base_index: int) -> None:
-        grouped: dict[tuple[int, ...], list[int]] = {}
-        for offset, cell in enumerate(map(tuple, self._cells(points).tolist())):
-            grouped.setdefault(cell, []).append(base_index + offset)
-        for cell, rows in grouped.items():
-            fresh = np.asarray(rows, dtype=np.int64)
-            held = self._buckets.get(cell)
-            self._buckets[cell] = (
-                fresh if held is None else np.concatenate([held, fresh])
-            )
-        # Flat occupied-cell table for the vectorised per-query shell
-        # ranking (dict iteration order is insertion order, deterministic).
-        self._cell_table = np.asarray(list(self._buckets.keys()), dtype=np.int64)
-        self._cell_buckets = list(self._buckets.values())
-
-    def _absorb_points(self, n_old: int) -> None:
-        self._extend_sq_norms(n_old)
-        self._insert(self.points[n_old:], n_old)
-
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_queries(queries, k)
-        k = min(k, self.n_points)
-        n_queries = len(queries)
-        out_distances = np.empty((n_queries, k))
-        out_indices = np.empty((n_queries, k), dtype=int)
-        query_norms = np.einsum("ij,ij->i", queries, queries)
-        query_cells = self._cells(queries)
-        buckets = self._cell_buckets
-        bucket_sizes = np.asarray([len(bucket) for bucket in buckets])
-        for row in range(n_queries):
-            query = queries[row]
-            # Rectangle lower bound of every occupied cell, vectorised: along
-            # each axis a point whose cell differs by c is more than
-            # (c - 1) * width away in that coordinate alone, and the per-axis
-            # separations combine as a Euclidean sum of squares.
-            cell_deltas = np.abs(self._cell_table - query_cells[row])
-            separations = np.maximum(cell_deltas - 1, 0) * self._widths
-            bounds_sq = np.einsum("ij,ij->i", separations, separations)
-            order = np.argsort(bounds_sq, kind="stable")
-            # Phase one: cells in bound order until k candidates seed the
-            # running k-th distance (the home neighbourhood has bound zero).
-            cumulative = np.cumsum(bucket_sizes[order])
-            take = int(np.searchsorted(cumulative, k)) + 1
-            take = min(take, len(order))
-            indices = np.concatenate([buckets[cell] for cell in order[:take]])
-            distances = self._candidate_distances(query, query_norms[row], indices)
-            if len(distances) >= k:
-                kth = np.partition(distances, k - 1)[k - 1]
-            else:
-                kth = np.inf
-            # Phase two: one bulk gather of every unvisited cell the bound
-            # cannot rule out.  The margin and slack absorb the quantisation
-            # and cancellation ulps so an exact tie can never be dropped.
-            rest = order[take:]
-            if len(rest):
-                viable = (
-                    bounds_sq[rest] * (1.0 - _BOUND_MARGIN) - _BOUND_SLACK_SQ
-                    <= kth * kth
-                )
-                rest = rest[viable]
-            if len(rest):
-                more = np.concatenate([buckets[cell] for cell in rest])
-                indices = np.concatenate([indices, more])
-                distances = np.concatenate(
-                    [
-                        distances,
-                        self._candidate_distances(query, query_norms[row], more),
-                    ]
-                )
-            out_distances[row], out_indices[row] = _select_k_sorted(
-                distances, indices, k
-            )
-        return out_distances, out_indices
-
-
 class BallTreeKnn(KnnIndex):
     """Blocked ball tree: leaf blocks with vectorised per-block pruning.
 
-    The reference set is recursively median-split (highest-spread axis, as
-    the k-d tree does) into leaf blocks of ``leaf_size`` points; each block
+    The reference set is recursively median-split (highest-spread axis)
+    into leaf blocks of ``leaf_size`` points; each block
     stores its centroid and the covering radius.  A batched query computes
     every query-to-centroid distance in one vectorised pass, derives the
     per-block lower bound ``max(|q - c| - r, 0)``, and scans blocks in

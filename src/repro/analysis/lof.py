@@ -32,8 +32,6 @@ from .knn import (
     KNN_BACKENDS,
     BruteForceKnn,
     BallTreeKnn,
-    GridSimplexKnn,
-    KdTreeKnn,
     KnnIndex,
     make_index,
 )
@@ -44,8 +42,6 @@ _EPSILON = 1e-12
 
 _INDEX_KINDS = {
     BruteForceKnn: "brute",
-    KdTreeKnn: "kdtree",
-    GridSimplexKnn: "grid",
     BallTreeKnn: "balltree",
 }
 

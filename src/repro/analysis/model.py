@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,6 +25,9 @@ from .lof import LocalOutlierFactor
 from .pmf import Pmf, pmf_matrix
 
 __all__ = ["ReferenceModel"]
+
+#: k-NN backends older model files may name; they load as ``"auto"``.
+_RETIRED_INDEX_KINDS = ("kdtree", "grid")
 
 
 class ReferenceModel:
@@ -79,8 +81,8 @@ class ReferenceModel:
         The projection cache is dropped: it is keyed by the ``id()`` of live
         registry objects, which is meaningless in another process (a new
         registry could even collide with a stale key and return the wrong
-        projection map).  The cache is rebuilt lazily on first use, so an
-        unpickled model scores bit-identically to the original.
+        projection map).  The cache is rebuilt lazily on first use, so the
+        worker's copy scores bit-identically to the original.
         """
         state = self.__dict__.copy()
         state["_projection_cache"] = {}
@@ -402,14 +404,12 @@ class ReferenceModel:
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
-    def save(self, path: str | Path, include_index: bool = True) -> Path:
+    def save(self, path: str | Path) -> Path:
         """Save the model (point set + metadata) to ``path`` as ``.npz``.
 
-        With ``include_index`` (the default) the fitted LOF — including its
-        built k-NN index — is pickled into the archive, so :meth:`load` can
-        restore the model without re-running the index build.  Pass
-        ``include_index=False`` for a smaller, pickle-free file; loading then
-        refits from the stored points (bit-identical scores either way).
+        The archive holds plain numeric arrays only — no serialised Python
+        objects — and :meth:`load` refits the LOF from the stored points
+        (bit-identical scores, every backend being exact).
         """
         self._require_fitted()
         assert self._points is not None and self._mean_pmf_counts is not None
@@ -422,23 +422,26 @@ class ReferenceModel:
             "n_windows_seen": self._n_windows_seen,
             "n_windows_used": self._n_windows_used,
         }
-        arrays: dict[str, np.ndarray] = {
-            "points": self._points,
-            "mean_counts": self._mean_pmf_counts,
-            "metadata": np.frombuffer(
+        np.savez_compressed(
+            path,
+            points=self._points,
+            mean_counts=self._mean_pmf_counts,
+            metadata=np.frombuffer(
                 json.dumps(metadata).encode("utf-8"), dtype=np.uint8
             ),
-        }
-        if include_index:
-            arrays["lof_state"] = np.frombuffer(
-                pickle.dumps(self._lof), dtype=np.uint8
-            )
-        np.savez_compressed(path, **arrays)
+        )
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceModel":
-        """Load a model previously written by :meth:`save`."""
+        """Load a model previously written by :meth:`save`.
+
+        Only the ``points``, ``mean_counts`` and ``metadata`` arrays are
+        read, with object arrays refused; any other member (such as the
+        ``lof_state`` fitted-index blob older files carry) is never
+        touched.  Files that name a retired k-NN backend load with
+        ``"auto"``.
+        """
         path = Path(path)
         if not path.exists():
             raise ModelError(f"reference model file does not exist: {path}")
@@ -447,36 +450,17 @@ class ReferenceModel:
                 metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
                 points = np.asarray(data["points"], dtype=float)
                 mean_counts = np.asarray(data["mean_counts"], dtype=float)
-                lof_blob = bytes(data["lof_state"]) if "lof_state" in data else None
-            except (KeyError, json.JSONDecodeError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise ModelError(f"malformed reference model file: {path}") from exc
-        if lof_blob is not None:
-            try:
-                lof = pickle.loads(lof_blob)
-            except Exception as exc:
-                raise ModelError(
-                    f"malformed fitted-index payload in model file: {path}"
-                ) from exc
-            if not isinstance(lof, LocalOutlierFactor) or not lof.is_fitted:
-                raise ModelError(
-                    f"model file {path} does not hold a fitted LOF index"
-                )
-            model = cls(
-                k_neighbours=int(metadata["k_neighbours"]),
-                index_kind=str(metadata.get("index_kind", "brute")),
-            )
-            model._type_names = tuple(
-                str(name) for name in metadata["type_names"]
-            )
-            model._points = points
-            model._lof = lof
-        else:
-            model = cls.from_points(
-                points,
-                metadata["type_names"],
-                k_neighbours=int(metadata["k_neighbours"]),
-                index_kind=str(metadata.get("index_kind", "brute")),
-            )
+        index_kind = str(metadata.get("index_kind", "brute"))
+        if index_kind in _RETIRED_INDEX_KINDS:
+            index_kind = "auto"
+        model = cls.from_points(
+            points,
+            metadata["type_names"],
+            k_neighbours=int(metadata["k_neighbours"]),
+            index_kind=index_kind,
+        )
         model._mean_pmf_counts = mean_counts
         model._n_windows_seen = int(metadata.get("n_windows_seen", len(points)))
         model._n_windows_used = int(metadata.get("n_windows_used", len(points)))

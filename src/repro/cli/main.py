@@ -10,11 +10,9 @@ Subcommands::
     repro-trace experiment --duration 900 [--alpha 1.2] [--report report.txt]
     repro-trace sweep      --duration 900 --alphas 1.0,1.2,1.5,2.0,3.0
 
-``monitor`` and ``fleet`` read trace files through the columnar ingest plane
-by default (``--ingest columnar``): vectorized decode into flat arrays,
-array-native windowing and a bounded decode/score overlap
-(``--prefetch``).  ``--ingest objects`` restores the per-event object path;
-results are bit-identical either way.  ``--recording-format binary`` writes
+``monitor`` and ``fleet`` read trace files through the columnar ingest plane:
+vectorized decode into flat arrays, array-native windowing and a bounded
+decode/score overlap (``--prefetch``).  ``--recording-format binary`` writes
 recorded windows as compact binary segments whose body bytes equal the
 accounted window sizes.  ``monitor --follow`` tails a trace file that is
 still being appended (streaming columnar ingest, bounded memory) and stops
@@ -46,7 +44,7 @@ import numpy as np
 from ..analysis.fleet import ShardedTraceMonitor
 from ..analysis.model import ReferenceModel
 from ..analysis.monitor import TraceMonitor
-from ..config import DetectorConfig, EnduranceConfig, MonitorConfig
+from ..config import KNN_BACKENDS, DetectorConfig, EnduranceConfig, MonitorConfig
 from ..errors import ConfigurationError, ReproError
 from ..experiments.endurance import run_endurance_experiment
 from ..experiments.report import render_alpha_sweep, render_headline
@@ -64,6 +62,8 @@ from ..trace.stream import (
 from ..trace.writer import write_trace
 
 __all__ = ["main", "build_parser"]
+
+_KNN_CHOICES = ("auto",) + KNN_BACKENDS
 
 
 def _positive_int(text: str) -> int:
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--model", type=Path, required=True, help="output model file (.npz)")
     learn.add_argument(
         "--knn-backend",
-        choices=["auto", "brute", "kdtree", "grid", "balltree"],
+        choices=_KNN_CHOICES,
         default=None,
         help="k-NN index for reference scoring (default auto: brute force "
         "below the crossover reference size, ball tree above; every backend "
@@ -154,13 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--k", type=int, default=20)
     monitor.add_argument("--batch-size", type=_positive_int, default=64)
     monitor.add_argument(
-        "--ingest",
-        choices=["columnar", "objects"],
-        default="columnar",
-        help="file ingest path: vectorized columnar decode (default) or the "
-        "historical per-event object decode; results are bit-identical",
-    )
-    monitor.add_argument(
         "--prefetch",
         type=_non_negative_int,
         default=4,
@@ -171,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--follow",
         action="store_true",
         help="tail the trace file as it is appended (streaming columnar "
-        "ingest with bounded memory); requires --ingest columnar and stops "
-        "after --idle-timeout seconds without growth",
+        "ingest with bounded memory); stops after --idle-timeout seconds "
+        "without growth",
     )
     monitor.add_argument(
         "--poll-interval",
@@ -207,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--output", type=Path, default=None, help="recorded trace output")
     monitor.add_argument(
         "--knn-backend",
-        choices=["auto", "brute", "kdtree", "grid", "balltree"],
+        choices=_KNN_CHOICES,
         default=None,
         help="k-NN index for reference scoring (default auto; a loaded "
         "--model is reindexed when the flag is given explicitly; every "
@@ -274,14 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base delay before a shard retry, scaled by the attempt number",
     )
     fleet.add_argument(
-        "--ingest",
-        choices=["columnar", "objects"],
-        default="columnar",
-        help="file ingest path: vectorized columnar decode (default, and the "
-        "cheap flat-array worker hand-off) or per-event object decode; "
-        "results are bit-identical",
-    )
-    fleet.add_argument(
         "--recording-format",
         choices=["jsonl", "binary"],
         default="jsonl",
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--knn-backend",
-        choices=["auto", "brute", "kdtree", "grid", "balltree"],
+        choices=_KNN_CHOICES,
         default=None,
         help="k-NN index for reference scoring (default auto; a loaded "
         "--model is reindexed when the flag is given explicitly; every "
@@ -435,11 +420,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             "--on-corrupt applies to streaming ingest only (add --follow)"
         )
     if args.follow:
-        if args.ingest != "columnar":
-            raise ConfigurationError(
-                "--follow requires the columnar ingest path "
-                "(drop --ingest objects)"
-            )
         result = monitor.follow_file(
             args.trace,
             model=model,
@@ -449,19 +429,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             idle_timeout_s=args.idle_timeout,
             on_corrupt=args.on_corrupt,
         )
-    elif args.ingest == "columnar":
-        # Default path: file bytes -> flat arrays -> lazy WindowBatches,
-        # with decode/batch construction overlapped with scoring.
+    else:
+        # File bytes -> flat arrays -> lazy WindowBatches, with decode/batch
+        # construction overlapped with scoring.
         result = monitor.run_on_file(
             args.trace,
             model=model,
             output_path=args.output,
             prefetch_batches=args.prefetch,
-        )
-    else:
-        events = read_trace(args.trace)
-        result = monitor.run_on_stream(
-            TraceStream(iter(events)), model=model, output_path=args.output
         )
     report = result.report
     payload = {
@@ -524,55 +499,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     registry = EventTypeRegistry.with_default_types()
     labels = _shard_labels(args.traces)
     fleet = ShardedTraceMonitor(detector_config, monitor_config, registry)
-    if args.ingest == "columnar":
-        # Default path: each trace is decoded straight to flat arrays; with
-        # --workers > 1 those arrays (not event lists) are what reaches the
-        # worker processes.
-        columns_by_label = {
-            label: read_trace_columns(path)
-            for label, path in zip(labels, args.traces)
-        }
-
-        def reference_windows():
-            first = columns_by_label[labels[0]]
-            layout = column_windows_by_duration(
-                first, monitor_config.window_duration_us
-            )
-            n_reference = int(
-                np.searchsorted(
-                    layout.end_us,
-                    monitor_config.reference_duration_us,
-                    side="right",
-                )
-            )
-            return materialize_layout_windows(first, layout, 0, n_reference)
-
-        def run(model):
-            return fleet.run_on_columns(
-                columns_by_label, model, output_dir=args.output_dir
-            )
-
-    else:
-        events_by_label = {
-            label: read_trace(path) for label, path in zip(labels, args.traces)
-        }
-
-        def reference_windows():
-            reference, _ = TraceStream(
-                iter(events_by_label[labels[0]])
-            ).split_reference(
-                monitor_config.reference_duration_us,
-                monitor_config.window_duration_us,
-            )
-            return reference
-
-        def run(model):
-            streams = {
-                label: TraceStream(iter(events))
-                for label, events in events_by_label.items()
-            }
-            return fleet.run_on_streams(streams, model, output_dir=args.output_dir)
-
+    # Each trace is decoded straight to flat arrays; with --workers > 1 those
+    # arrays (not event lists) are what reaches the worker processes.
+    columns_by_label = {
+        label: read_trace_columns(path) for label, path in zip(labels, args.traces)
+    }
     if args.model is not None:
         model = ReferenceModel.load(args.model)
         if args.knn_backend is not None:
@@ -580,10 +511,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     else:
         # Learn the shared model on the reference prefix of the first trace
         # ("golden device"); every trace is then monitored in full.
+        first = columns_by_label[labels[0]]
+        layout = column_windows_by_duration(first, monitor_config.window_duration_us)
+        n_reference = int(
+            np.searchsorted(
+                layout.end_us, monitor_config.reference_duration_us, side="right"
+            )
+        )
         model = TraceMonitor(
             detector_config, monitor_config, registry
-        ).learn_reference(reference_windows())
-    result = run(model)
+        ).learn_reference(materialize_layout_windows(first, layout, 0, n_reference))
+    result = fleet.run_on_columns(columns_by_label, model, output_dir=args.output_dir)
     report = result.report
     lines = [
         f"{label}: {shard.n_windows} windows, {shard.n_anomalous} anomalous, "

@@ -26,11 +26,17 @@ __all__ = [
     "MediaConfig",
     "PerturbationConfig",
     "EnduranceConfig",
+    "KNN_BACKENDS",
     "config_to_dict",
     "config_from_dict",
     "load_config",
     "save_config",
 ]
+
+#: Names of the concrete k-NN indexes in :mod:`repro.analysis.knn`; the
+#: ``knn_backend`` knob also takes ``"auto"``, which picks one of them by
+#: reference size.  Declared here, the lowest layer that validates it.
+KNN_BACKENDS = ("brute", "balltree")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -138,7 +144,7 @@ class MonitorConfig:
         results bit-identical to the serial fleet.
     knn_backend:
         k-NN index used for reference scoring: one of ``"brute"``,
-        ``"kdtree"``, ``"grid"``, ``"balltree"`` or ``"auto"`` (default).
+        ``"balltree"`` or ``"auto"`` (default).
         ``"auto"`` keeps the brute-force scan below
         :data:`~repro.analysis.knn.AUTO_CROSSOVER_POINTS` reference points
         and switches to the blocked ball tree above it.  Every backend is
@@ -212,9 +218,10 @@ class MonitorConfig:
             "max_active_shards must be None or >= 1",
         )
         _require(self.fleet_workers >= 1, "fleet_workers must be >= 1")
+        backends = ("auto",) + KNN_BACKENDS
         _require(
-            self.knn_backend in {"auto", "brute", "kdtree", "grid", "balltree"},
-            "knn_backend must be one of 'auto', 'brute', 'kdtree', 'grid', 'balltree'",
+            self.knn_backend in backends,
+            f"knn_backend must be one of {', '.join(map(repr, backends))}",
         )
         _require(
             self.stream_queue_depth >= 1, "stream_queue_depth must be >= 1"

@@ -75,7 +75,7 @@ def _parse_segment_header(data: bytes, offset: int) -> tuple["EventTypeRegistry"
     Single definition of the segment-header walk (magic, header length,
     version, registry validation) shared by the object decoder
     (:meth:`BinaryTraceCodec.decode`) and the columnar decoder
-    (:func:`~repro.trace.columns.decode_binary_columns`), so the two can
+    (:class:`~repro.trace.columns.BinaryColumnsDecoder`), so the two can
     never diverge on the format.
     """
     if data[offset : offset + 4] != _MAGIC:

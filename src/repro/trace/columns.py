@@ -35,9 +35,7 @@ from __future__ import annotations
 import codecs
 import json
 import struct
-from typing import Any, Iterable, Mapping, Sequence
-
-from numpy.typing import DTypeLike
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -346,10 +344,8 @@ def _parse_record(
 
     Returns ``(delta, local_code, core, static_size, end_offset)``, or
     ``None`` when ``data`` ends mid-record — the caller decides whether
-    that means a truncated file (one-shot decode) or simply an incomplete
-    chunk (streaming decode).  Single definition shared by
-    :func:`decode_binary_columns` and :class:`BinaryColumnsDecoder` so the
-    two cannot diverge on the record layout.
+    that means a truncated stream (after :meth:`BinaryColumnsDecoder.finish`)
+    or simply an incomplete chunk.
     """
     size = len(data)
     parsed = _try_decode_varint(data, offset, size)
@@ -384,168 +380,49 @@ def _parse_record(
 
 
 def decode_binary_columns(data: bytes) -> TraceColumns:
-    """Decode a (possibly segmented) binary trace blob into columns.
+    """Decode a whole (possibly segmented) binary trace blob into columns.
 
-    Walks the records once — varint lengths only, no UTF-8 decode, no JSON
-    parse, no event objects — and fills the flat arrays.  Concatenated
-    segments (as written by the binary recording sink) share one global
-    type table built in first-appearance order.
+    One :meth:`BinaryColumnsDecoder.feed` of the entire blob followed by
+    :meth:`~BinaryColumnsDecoder.finish`, which rejects a truncated tail.
+    Concatenated segments (as written by the binary recording sink) share
+    one global type table built in first-appearance order.
     """
-    if data[:4] != _MAGIC:
-        raise TraceFormatError("not a binary trace (bad magic)")
-    name_codes: dict[str, int] = {}
-    names: list[str] = []
-    ts_parts: list[np.ndarray] = []
-    code_parts: list[np.ndarray] = []
-    core_parts: list[np.ndarray] = []
-    static_parts: list[np.ndarray] = []
-    offset_parts: list[np.ndarray] = []
-    size = len(data)
-    offset = 0
-    while offset < size:
-        # Shared header walk with the object decoder (magic, length,
-        # version, registry contiguity) — the two decoders cannot diverge.
-        segment_registry, count, offset = _parse_segment_header(data, offset)
-        segment_names = segment_registry.names
-        remap = np.empty(len(segment_names), dtype=np.int32)
-        for local, name in enumerate(segment_names):
-            code = name_codes.get(name)
-            if code is None:
-                code = len(names)
-                name_codes[name] = code
-                names.append(name)
-            remap[local] = code
-        timestamps = np.empty(count, dtype=np.int64)
-        codes = np.empty(count, dtype=np.int32)
-        cores = np.empty(count, dtype=np.int64)
-        static = np.empty(count, dtype=np.int64)
-        records = np.empty(count, dtype=np.int64)
-        previous = 0
-        n_segment_types = len(segment_names)
-        for i in range(count):
-            records[i] = offset
-            parsed = _parse_record(data, offset)
-            if parsed is None:
-                raise TraceFormatError(
-                    f"truncated event record at byte offset {offset} "
-                    f"(trace ends mid-record, {count - i} of the segment's "
-                    f"{count} record(s) missing or incomplete)"
-                )
-            delta, code, core, static_size, offset = parsed
-            if code >= n_segment_types:
-                raise TraceFormatError(
-                    f"unknown event-type code: {code} "
-                    f"at byte offset {int(records[i])}"
-                )
-            previous += delta
-            timestamps[i] = previous
-            codes[i] = remap[code]
-            cores[i] = core
-            static[i] = static_size
-        ts_parts.append(timestamps)
-        code_parts.append(codes)
-        core_parts.append(cores)
-        static_parts.append(static)
-        offset_parts.append(records)
-    return TraceColumns(
-        timestamps_us=_concat(ts_parts, np.int64),
-        type_codes=_concat(code_parts, np.int32),
-        cores=_concat(core_parts, np.int64),
-        type_names=tuple(names),
-        static_sizes=_concat(static_parts, np.int64),
-        source_kind="binary",
-        binary_data=data,
-        record_offsets=_concat(offset_parts, np.int64),
-    )
-
-
-def _concat(parts: Sequence[np.ndarray], dtype: DTypeLike) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    decoder = BinaryColumnsDecoder()
+    columns = decoder.feed(data)
+    decoder.finish()
+    return columns
 
 
 def decode_json_columns(text: str) -> TraceColumns:
-    """Decode a JSON-lines trace into columns.
+    """Decode a whole JSON-lines trace into columns.
 
-    One ``json.loads`` per line is unavoidable, but nothing else per event
-    is: no :class:`TraceEvent` construction, no per-event windowing, and
-    the byte accounting inputs are computed inline (task field sizes are
-    cached per task name).  Empty lines are skipped exactly as the object
-    reader does.
+    One :meth:`JsonColumnsDecoder.feed` of the entire text followed by
+    :meth:`~JsonColumnsDecoder.finish`.  A missing final newline is
+    supplied first, so the last line is parsed by the same feed.  Empty
+    lines are skipped exactly as the object reader does.
     """
-    timestamps: list[int] = []
-    codes: list[int] = []
-    cores: list[int] = []
-    static: list[int] = []
-    line_starts: list[int] = []
-    line_ends: list[int] = []
-    name_codes: dict[str, int] = {}
-    names: list[str] = []
-    task_cache: dict[str, int] = {}
-    position = 0
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        start = position
-        position += len(raw) + 1
-        line = raw.strip()
-        if not line:
-            continue
-        lead = len(raw) - len(raw.lstrip())
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"malformed JSON event line {line_no}: {line!r} "
-                "(a partial final line usually means the trace is still "
-                "being appended)"
-            ) from exc
-        try:
-            timestamp = int(record["t"])
-            etype = str(record["type"])
-            core = int(record.get("core", 0))
-            task = str(record.get("task", ""))
-            args = dict(record.get("args", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                f"malformed event record at line {line_no}: {record!r}"
-            ) from exc
-        if timestamp < 0:
-            raise TraceFormatError(
-                f"negative timestamp at line {line_no}: {timestamp}"
-            )
-        code = name_codes.get(etype)
-        if code is None:
-            code = len(names)
-            name_codes[etype] = code
-            names.append(etype)
-        task_field = _task_field_size(task, task_cache)
-        payload_field = _payload_field_size(args)
-        timestamps.append(timestamp)
-        codes.append(code)
-        cores.append(core)
-        static.append(1 + task_field + payload_field)
-        line_starts.append(start + lead)
-        line_ends.append(start + lead + len(line))
-    return TraceColumns(
-        timestamps_us=np.array(timestamps, dtype=np.int64),
-        type_codes=np.array(codes, dtype=np.int32),
-        cores=np.array(cores, dtype=np.int64),
-        type_names=tuple(names),
-        static_sizes=np.array(static, dtype=np.int64),
-        source_kind="jsonl",
-        text=text,
-        line_starts=np.array(line_starts, dtype=np.int64),
-        line_ends=np.array(line_ends, dtype=np.int64),
-    )
+    if text and not text.endswith("\n"):
+        text += "\n"
+    decoder = JsonColumnsDecoder()
+    columns = decoder.feed(text)
+    decoder.finish()
+    return columns
 
 
 # ---------------------------------------------------------------------- #
 # Resumable chunked decoders (streaming ingest)
 # ---------------------------------------------------------------------- #
+#: Smallest encoded event record: one byte each for the timestamp delta,
+#: the type code, the core, the task length and the payload length.
+_MIN_RECORD_BYTES = 5
+
+#: Column dtypes of one decoded run: record offsets, timestamps, type codes,
+#: cores, static sizes.
+_RUN_DTYPES = (np.int64, np.int64, np.int32, np.int64, np.int64)
+
+
 class BinaryColumnsDecoder:
-    """Resumable, chunk-fed counterpart of :func:`decode_binary_columns`.
+    """Resumable, chunk-fed binary trace decoder.
 
     Feed arbitrary byte ranges of a binary trace (they need not align with
     record or segment boundaries); each :meth:`feed` returns the columns of
@@ -555,14 +432,14 @@ class BinaryColumnsDecoder:
     reports the absolute offset of the first unconsumed byte — the point a
     re-opened reader should seek to.
 
-    Emitted chunks use one *global* type table grown across segments in the
-    same registry order as the one-shot decoder; every chunk's
-    ``type_names`` is the table so far (a prefix of the final table), so
-    concatenating the chunks reproduces the one-shot decode bit for bit.
+    Emitted chunks use one *global* type table grown across segments in
+    first-appearance order; every chunk's ``type_names`` is the table so far
+    (a prefix of the final table), so concatenating the chunks reproduces
+    :func:`decode_binary_columns` of the whole blob bit for bit, whatever
+    the chunking.
 
     :meth:`finish` marks end-of-stream: ending mid-header or mid-record is
-    then an error naming the absolute byte offset, exactly like a one-shot
-    decode of the same truncated blob.
+    then an error naming the absolute byte offset.
 
     ``on_corrupt="skip"`` quarantines corruption instead of raising: on a
     mangled header, over-long varint, unknown type code or truncated tail
@@ -596,7 +473,7 @@ class BinaryColumnsDecoder:
         self._base = 0  # absolute stream offset of _buffer[0]
         self._names: list[str] = []
         self._name_codes: dict[str, int] = {}
-        self._remap: np.ndarray | None = None  # active segment local→global
+        self._remap: list[int] = []  # active segment local→global codes
         self._remaining = 0  # records left in the active segment
         self._previous = 0  # previous absolute timestamp (segment-local)
         self._saw_data = False
@@ -641,37 +518,28 @@ class BinaryColumnsDecoder:
         self._finished = True
         if not self._saw_data:
             raise TraceFormatError("not a binary trace (empty stream)")
-        columns = self._drain(final=True)
-        if self._remaining:
-            if self._on_corrupt == "raise":
-                raise TraceFormatError(
-                    f"truncated binary trace: segment promises "
-                    f"{self._remaining} more event record(s) at byte offset "
-                    f"{self._base}"
-                )
-            # _drain(final=True) already recorded the corrupt tail region.
-            self._remaining = 0
-        return columns
+        # A final drain either consumes every promised record or raises
+        # (quarantines, under "skip") at the point the stream ends.
+        return self._drain(final=True)
 
     def _drain(self, final: bool) -> TraceColumns:
         data = self._buffer
         size = len(data)
         pos = 0
-        timestamps: list[int] = []
-        codes: list[int] = []
-        cores: list[int] = []
-        static: list[int] = []
-        records: list[int] = []
+        runs: list[tuple[np.ndarray, ...]] = []
+        # Per-record state lives in locals, written back once per call.
+        remap = self._remap
+        remaining = self._remaining
+        previous = self._previous
         while True:
             if self._resyncing:
                 found = data.find(_MAGIC, pos)
-                if found != -1:
-                    pos = found
-                    self._resyncing = False
-                    continue
-                pos = size if final else self._magic_tail(data, pos)
-                break
-            if self._remaining == 0:
+                if found == -1:
+                    pos = size if final else self._magic_tail(data, pos)
+                    break
+                pos = found
+                self._resyncing = False
+            if not remaining:
                 if pos >= size:
                     break
                 try:
@@ -683,17 +551,47 @@ class BinaryColumnsDecoder:
                     continue
                 if header is None:
                     break
-                self._remap, self._remaining, pos = header
-                self._previous = 0
+                remap, remaining, pos = header
+                previous = 0
                 continue
+            # One run of the active segment, written into preallocated
+            # columns through memoryviews: no boxed value per record and no
+            # regrowth.  The segment's record count and the buffer size both
+            # bound the run, so a whole-blob decode gets exact-size columns.
+            capacity = min(remaining, (size - pos) // _MIN_RECORD_BYTES)
+            run = tuple(np.empty(capacity, dtype=dtype) for dtype in _RUN_DTYPES)
+            records, timestamps, codes, cores, static = map(memoryview, run)
+            n_codes = len(remap)
+            filled = 0
             try:
-                parsed = _parse_record(data, pos)
+                while filled < capacity:
+                    parsed = _parse_record(data, pos)
+                    if parsed is None:
+                        break
+                    delta, code, core, static_size, end = parsed
+                    if code >= n_codes:
+                        raise TraceFormatError(
+                            f"unknown event-type code: {code} "
+                            f"at byte offset {self._base + pos}"
+                        )
+                    records[filled] = pos
+                    previous += delta
+                    timestamps[filled] = previous
+                    codes[filled] = remap[code]
+                    cores[filled] = core
+                    static[filled] = static_size
+                    filled += 1
+                    pos = end
             except TraceFormatError:
                 if self._on_corrupt == "raise":
                     raise
+                runs.append(tuple(column[:filled] for column in run))
                 pos = self._quarantine(pos, size)
+                remaining = 0
                 continue
-            if parsed is None:
+            runs.append(tuple(column[:filled] for column in run))
+            remaining -= filled
+            if remaining:  # the buffer ends mid-record
                 if not final:
                     break
                 if self._on_corrupt == "raise":
@@ -702,42 +600,33 @@ class BinaryColumnsDecoder:
                         f"{self._base + pos} (stream ends mid-record)"
                     )
                 pos = self._quarantine(pos, size)
-                continue
-            delta, code, core, static_size, end = parsed
-            remap = self._remap
-            assert remap is not None
-            if code >= len(remap):
-                if self._on_corrupt == "raise":
-                    raise TraceFormatError(
-                        f"unknown event-type code: {code} "
-                        f"at byte offset {self._base + pos}"
-                    )
-                pos = self._quarantine(pos, size)
-                continue
-            records.append(pos)
-            self._previous += delta
-            timestamps.append(self._previous)
-            codes.append(int(remap[code]))
-            cores.append(core)
-            static.append(static_size)
-            self._remaining -= 1
-            pos = end
+                remaining = 0
         self._buffer = data[pos:]
         self._base += pos
+        self._remap = remap
+        self._remaining = remaining
+        self._previous = previous
+        if len(runs) == 1:
+            records_column, ts_column, code_column, core_column, static_column = runs[0]
+        else:
+            records_column, ts_column, code_column, core_column, static_column = (
+                np.concatenate([np.empty(0, dtype=dtype)] + [run[i] for run in runs])
+                for i, dtype in enumerate(_RUN_DTYPES)
+            )
         return TraceColumns(
-            timestamps_us=np.array(timestamps, dtype=np.int64),
-            type_codes=np.array(codes, dtype=np.int32),
-            cores=np.array(cores, dtype=np.int64),
+            timestamps_us=ts_column,
+            type_codes=code_column,
+            cores=core_column,
             type_names=tuple(self._names),
-            static_sizes=np.array(static, dtype=np.int64),
+            static_sizes=static_column,
             source_kind="binary",
             binary_data=data[:pos],
-            record_offsets=np.array(records, dtype=np.int64),
+            record_offsets=records_column,
         )
 
     def _try_header(
         self, data: bytes, pos: int, final: bool
-    ) -> tuple[np.ndarray, int, int] | None:
+    ) -> tuple[list[int], int, int] | None:
         """Parse a segment header at ``pos``; ``None`` when incomplete."""
         size = len(data)
         head = data[pos : pos + 4]
@@ -766,26 +655,27 @@ class BinaryColumnsDecoder:
                 )
             return None
         registry, count, body = _parse_segment_header(data, pos)
-        segment_names = registry.names
-        remap = np.empty(len(segment_names), dtype=np.int32)
-        for local, name in enumerate(segment_names):
+        remap: list[int] = []
+        for name in registry.names:
             code = self._name_codes.get(name)
             if code is None:
                 code = len(self._names)
                 self._name_codes[name] = code
                 self._names.append(name)
-            remap[local] = code
+            remap.append(code)
         return remap, count, body
 
     def _quarantine(self, pos: int, size: int) -> int:
         """Record a corrupt region at ``pos`` and start hunting for magic.
+
+        The caller abandons the active segment (its remaining record count
+        drops to zero).
 
         Advances past the offending byte so the resynchronisation scan can
         never re-match the region it just abandoned (a truncated header
         starts with a perfectly valid magic).
         """
         self._corrupt_offsets.append(self._base + pos)
-        self._remaining = 0
         self._resyncing = True
         return min(pos + 1, size)
 
@@ -805,19 +695,20 @@ class BinaryColumnsDecoder:
 
 
 class JsonColumnsDecoder:
-    """Resumable, chunk-fed counterpart of :func:`decode_json_columns`.
+    """Resumable, chunk-fed JSON-lines trace decoder.
 
     Feed byte (or text) chunks of a JSON-lines trace; each :meth:`feed`
     parses the lines the chunk completed and buffers the partial trailing
     line — and any partial UTF-8 sequence — for the next call.
-    :meth:`finish` parses a final unterminated line exactly like the
-    one-shot decoder (a regular file's last line often lacks a newline);
-    a line that then fails to parse is reported with its 1-based line
-    number, as is any malformed line mid-stream.  :attr:`resume_line`
-    reports the next line a re-opened reader should start from.
+    :meth:`finish` parses a final unterminated line (a regular file's last
+    line often lacks a newline); a line that then fails to parse is
+    reported with its 1-based line number, as is any malformed line
+    mid-stream.  :attr:`resume_line` reports the next line a re-opened
+    reader should start from.
 
-    Chunks share one global type table (first-appearance order), matching
-    the one-shot decode bit for bit when concatenated.
+    Chunks share one global type table (first-appearance order), so their
+    concatenation equals :func:`decode_json_columns` of the whole text bit
+    for bit, whatever the chunking.
 
     ``on_corrupt="skip"`` quarantines corruption instead of raising: a
     malformed JSON line, malformed record or negative timestamp is dropped
@@ -938,7 +829,9 @@ class JsonColumnsDecoder:
                     self._corrupt_lines.append(line_no)
                     continue
                 raise TraceFormatError(
-                    f"malformed JSON event line {line_no}: {line!r}"
+                    f"malformed JSON event line {line_no}: {line!r} "
+                    "(a partial final line usually means the trace is still "
+                    "being appended)"
                 ) from exc
             try:
                 timestamp = int(record["t"])

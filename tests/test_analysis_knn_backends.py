@@ -30,8 +30,6 @@ from repro.analysis.knn import (
     KNN_BACKENDS,
     BallTreeKnn,
     BruteForceKnn,
-    GridSimplexKnn,
-    KdTreeKnn,
     make_index,
     resolve_backend,
 )
@@ -48,8 +46,6 @@ INDEXED_BACKENDS = tuple(name for name in KNN_BACKENDS if name != "brute")
 
 INDEX_CLASSES = {
     "brute": BruteForceKnn,
-    "kdtree": KdTreeKnn,
-    "grid": GridSimplexKnn,
     "balltree": BallTreeKnn,
 }
 
@@ -79,7 +75,7 @@ def assert_bit_identical(result, oracle):
 
 class TestBackendRegistry:
     def test_backend_names(self):
-        assert KNN_BACKENDS == ("brute", "kdtree", "grid", "balltree")
+        assert KNN_BACKENDS == ("brute", "balltree")
 
     def test_make_index_constructs_each_backend(self):
         points = dirichlet_points(0, 60, 4)
@@ -89,9 +85,12 @@ class TestBackendRegistry:
     def test_auto_resolves_by_reference_size(self):
         assert resolve_backend("auto", AUTO_CROSSOVER_POINTS - 1) == "brute"
         assert resolve_backend("auto", AUTO_CROSSOVER_POINTS) == "balltree"
-        assert resolve_backend("grid", 10) == "grid"
+        assert resolve_backend("balltree", 10) == "balltree"
 
     def test_unknown_backend_rejected(self):
+        for retired in ("kdtree", "grid"):
+            with pytest.raises(ModelError):
+                resolve_backend(retired, 100)
         with pytest.raises(ModelError):
             resolve_backend("octree", 100)
         with pytest.raises(ModelError):
@@ -441,6 +440,6 @@ class TestModelAdaptation:
         model = ReferenceModel(k_neighbours=K).learn(iter(reference_windows), registry)
         queries = model.points[:15]
         before = model.score_vectors(queries)
-        model.reindex("grid")
+        model.reindex("balltree")
         np.testing.assert_array_equal(model.score_vectors(queries), before)
-        assert model.index_kind == "grid"
+        assert model.index_kind == "balltree"

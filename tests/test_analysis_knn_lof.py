@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.analysis.knn import BallTreeKnn, BruteForceKnn, GridSimplexKnn, KdTreeKnn
+from repro.analysis.knn import BallTreeKnn, BruteForceKnn
 from repro.analysis.lof import LocalOutlierFactor
 from repro.errors import ModelError, NotFittedError
 
-ALL_INDEXES = [BruteForceKnn, KdTreeKnn, GridSimplexKnn, BallTreeKnn]
+ALL_INDEXES = [BruteForceKnn, BallTreeKnn]
 
 
 def make_cluster_points(seed=0, n=200, dim=5):
@@ -52,7 +51,7 @@ class TestKnnIndexes:
         with pytest.raises(ModelError):
             BruteForceKnn(np.array([[np.nan, 1.0]]))
         with pytest.raises(ModelError):
-            KdTreeKnn(make_cluster_points(n=5), leaf_size=0)
+            BallTreeKnn(make_cluster_points(n=5), leaf_size=0)
 
     def test_query_many_shapes(self):
         points = make_cluster_points(n=30, dim=4)
@@ -60,25 +59,6 @@ class TestKnnIndexes:
         distances, indices = index.query_many(points[:5], k=3)
         assert distances.shape == (5, 3)
         assert indices.shape == (5, 3)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=1000),
-        k=st.integers(min_value=1, max_value=10),
-    )
-    def test_kdtree_matches_brute_force_property(self, seed, k):
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(size=(60, 4))
-        query = rng.uniform(size=4)
-        brute_d, _ = BruteForceKnn(points).query(query, k)
-        tree_d, _ = KdTreeKnn(points, leaf_size=4).query(query, k)
-        assert np.allclose(brute_d, tree_d)
-
-    def test_kdtree_handles_duplicate_points(self):
-        points = np.vstack([np.ones((30, 3)), np.zeros((5, 3))])
-        index = KdTreeKnn(points, leaf_size=2)
-        distances, _ = index.query(np.ones(3), k=10)
-        assert distances[0] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("index_cls", ALL_INDEXES)
     def test_duplicate_points_tie_break_by_index(self, index_cls):
@@ -135,13 +115,6 @@ class TestLocalOutlierFactor:
         assert lof.threshold_for_quantile(0.5) <= lof.threshold_for_quantile(0.99)
         with pytest.raises(ModelError):
             lof.threshold_for_quantile(0.0)
-
-    def test_kdtree_index_gives_same_scores_as_brute(self):
-        points = make_cluster_points(n=150, dim=4)
-        queries = make_cluster_points(seed=3, n=10, dim=4)
-        brute = LocalOutlierFactor(k_neighbours=10, index_kind="brute").fit(points)
-        tree = LocalOutlierFactor(k_neighbours=10, index_kind="kdtree").fit(points)
-        assert brute.score_many(queries) == pytest.approx(tree.score_many(queries), rel=1e-6)
 
     def test_two_density_clusters(self):
         rng = np.random.default_rng(1)

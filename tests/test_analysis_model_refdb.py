@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,30 @@ from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
 from repro.trace.window import TraceWindow
+
+
+#: Set by :func:`_unpickled` — i.e. only if a model loader unpickles a member.
+UNPICKLED: list[str] = []
+
+
+def _unpickled(tag):
+    UNPICKLED.append(tag)
+    return tag
+
+
+class _BoobyTrap:
+    """Pickles to a call of :func:`_unpickled`: loading it has a side effect."""
+
+    def __reduce__(self):
+        return (_unpickled, ("lof_state",))
+
+
+def plant_member(path, name, payload: bytes):
+    """Rewrite the ``.npz`` at ``path`` with member ``name`` set to ``payload``."""
+    with np.load(path) as data:
+        arrays = {member: data[member] for member in data.files}
+    arrays[name] = np.frombuffer(payload, dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
 
 
 def make_reference_windows(mix, seed=0, duration_s=4.0, rate=2_000.0):
@@ -134,13 +161,14 @@ class TestPersistence:
         with pytest.raises(NotFittedError):
             ReferenceModel().save(tmp_path / "model.npz")
 
-    def test_saved_index_restores_without_refit(self, normal_mix, registry, tmp_path):
+    def test_saved_backend_kept_and_scores_bit_identical(
+        self, normal_mix, registry, tmp_path
+    ):
         model = ReferenceModel(k_neighbours=10, index_kind="balltree").learn(
             make_reference_windows(normal_mix), registry
         )
         loaded = ReferenceModel.load(model.save(tmp_path / "model.npz"))
-        # The fitted index travels inside the archive: the loaded model keeps
-        # the balltree backend and scores bit-identically, no refit involved.
+        # The loaded model refits the same backend from the stored points.
         assert loaded.index_kind == "balltree"
         queries = model.points[:20]
         np.testing.assert_array_equal(
@@ -148,26 +176,48 @@ class TestPersistence:
         )
         np.testing.assert_array_equal(loaded.points, model.points)
 
-    def test_save_without_index_refits_identically(self, learned_model, tmp_path):
+    def test_legacy_lof_state_is_never_unpickled(self, learned_model, tmp_path):
+        """A model file is outside input: loading it must not run a pickle.
+
+        Files written before the format went array-only carry a pickled
+        ``lof_state`` member.  A crafted one would execute code on load; the
+        loader must ignore it and refit, scoring bit-identically.
+        """
         model, _ = learned_model
-        path = model.save(tmp_path / "small.npz", include_index=False)
+        path = model.save(tmp_path / "model.npz")
         with np.load(path) as data:
-            assert "lof_state" not in data
+            assert sorted(data.files) == ["mean_counts", "metadata", "points"]
+            assert all(data[name].dtype != object for name in data.files)
+        plant_member(path, "lof_state", pickle.dumps(_BoobyTrap()))
+        UNPICKLED.clear()
         loaded = ReferenceModel.load(path)
+        db = ReferenceDatabase(tmp_path / "refdb")
+        entry = db.add("legacy", model)
+        plant_member(db.root / entry.filename, "lof_state", pickle.dumps(_BoobyTrap()))
+        from_db = db.get("legacy")
+        assert UNPICKLED == []
+        queries = np.vstack([model.points[:20], np.full((1, model.dimension), 0.5)])
+        expected = model.score_vectors(queries)
+        np.testing.assert_array_equal(loaded.score_vectors(queries), expected)
+        np.testing.assert_array_equal(from_db.score_vectors(queries), expected)
+        np.testing.assert_array_equal(loaded.training_scores(), model.training_scores())
+
+    @pytest.mark.parametrize("retired", ["kdtree", "grid"])
+    def test_retired_backend_in_metadata_loads_as_auto(
+        self, learned_model, tmp_path, retired
+    ):
+        model, _ = learned_model
+        path = model.save(tmp_path / "model.npz")
+        with np.load(path) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        metadata["index_kind"] = retired
+        plant_member(path, "metadata", json.dumps(metadata).encode("utf-8"))
+        loaded = ReferenceModel.load(path)
+        assert loaded.index_kind == "auto"
         queries = model.points[:20]
         np.testing.assert_array_equal(
             loaded.score_vectors(queries), model.score_vectors(queries)
         )
-
-    def test_corrupt_index_payload_rejected(self, learned_model, tmp_path):
-        model, _ = learned_model
-        path = model.save(tmp_path / "model.npz")
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["lof_state"] = np.frombuffer(b"definitely not a pickle", dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ModelError):
-            ReferenceModel.load(path)
 
     def test_fingerprint_tracks_identity(self, learned_model, registry):
         model, _ = learned_model

@@ -47,6 +47,8 @@ class TestValidation:
             {"window_event_capacity": 0},
             {"reference_duration_us": 0},
             {"record_context_windows": -1},
+            {"knn_backend": "kdtree"},
+            {"knn_backend": "grid"},
         ],
     )
     def test_monitor_rejects_bad_values(self, kwargs):

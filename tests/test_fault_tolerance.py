@@ -39,7 +39,7 @@ from repro.trace.codec import BinaryTraceCodec
 from repro.trace.columns import (
     BinaryColumnsDecoder,
     JsonColumnsDecoder,
-    decode_binary_columns,
+    TraceColumns,
 )
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import PeriodicTraceGenerator, SyntheticTraceGenerator
@@ -278,7 +278,7 @@ class TestBinaryDecoderQuarantine:
     def test_clean_stream_identical_under_both_policies(self, segments):
         first, second = segments
         blob = first + second
-        reference = decode_binary_columns(blob)
+        reference = TraceColumns.from_events(BinaryTraceCodec().decode(blob))
         decoder = BinaryColumnsDecoder(on_corrupt="skip")
         parts = [decoder.feed(blob), decoder.finish()]
         timestamps = np.concatenate([p.timestamps_us for p in parts])

@@ -31,10 +31,11 @@ from repro.errors import (
     TraceFormatError,
     TraceStreamError,
 )
-from repro.trace.codec import BinaryTraceCodec
+from repro.trace.codec import BinaryTraceCodec, JsonTraceCodec
 from repro.trace.columns import (
     BinaryColumnsDecoder,
     JsonColumnsDecoder,
+    TraceColumns,
     decode_binary_columns,
     decode_json_columns,
 )
@@ -134,6 +135,13 @@ def decode_chunked(decoder_cls, data, chunks):
     return decoder, parts
 
 
+def object_reference(data):
+    """The object codec's decode, as columns: what every chunking must give."""
+    if isinstance(data, str):
+        return TraceColumns.from_events(JsonTraceCodec().decode(data))
+    return TraceColumns.from_events(BinaryTraceCodec().decode(data))
+
+
 def concatenated_events(parts):
     events = []
     for part in parts:
@@ -142,11 +150,11 @@ def concatenated_events(parts):
 
 
 # ---------------------------------------------------------------------- #
-# Resumable decoders == one-shot decoders
+# Resumable decoders == the object codec, for every chunking
 # ---------------------------------------------------------------------- #
-def test_binary_decoder_chunked_equals_one_shot(small_trace_files):
+def test_binary_decoder_chunked_equals_object_decode(small_trace_files):
     data = small_trace_files["binary"].read_bytes()
-    expected = decode_binary_columns(data)
+    expected = object_reference(data)
     for name, chunks in chunk_plans(data):
         decoder, parts = decode_chunked(BinaryColumnsDecoder, data, chunks)
         assert decoder.resume_offset == len(data), name
@@ -165,8 +173,9 @@ def test_binary_decoder_chunked_equals_one_shot(small_trace_files):
 def test_binary_decoder_record_aligned_chunks(small_trace_files):
     """Chunks cut exactly at record boundaries (the friendliest feed)."""
     data = small_trace_files["binary"].read_bytes()
-    expected = decode_binary_columns(data)
-    offsets = [int(o) for o in expected._record_offsets] + [len(data)]
+    expected = object_reference(data)
+    offsets = [int(o) for o in decode_binary_columns(data)._record_offsets]
+    offsets.append(len(data))
     chunks = [data[: offsets[0]]] + [
         data[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)
     ]
@@ -185,7 +194,7 @@ def test_binary_decoder_multi_segment_stream():
         codec.encode(events[i : i + third or None])
         for i in range(0, len(events), third)
     )
-    expected = decode_binary_columns(data)
+    expected = object_reference(data)
     for name, chunks in chunk_plans(data, seed=3)[:2]:
         decoder, parts = decode_chunked(BinaryColumnsDecoder, data, chunks)
         merged_ts = np.concatenate([p.timestamps_us for p in parts])
@@ -196,10 +205,10 @@ def test_binary_decoder_multi_segment_stream():
         ), name
 
 
-def test_json_decoder_chunked_equals_one_shot(small_trace_files):
+def test_json_decoder_chunked_equals_object_decode(small_trace_files):
     text = small_trace_files["jsonl"].read_text(encoding="utf-8")
     data = text.encode("utf-8")
-    expected = decode_json_columns(text)
+    expected = object_reference(text)
     for name, chunks in chunk_plans(data, seed=1):
         decoder, parts = decode_chunked(JsonColumnsDecoder, data, chunks)
         assert decoder.type_names == expected.type_names, name
@@ -222,7 +231,7 @@ def test_json_decoder_utf8_split_across_chunks():
         for i in range(5)
     ]
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    expected = decode_json_columns(data.decode("utf-8"))
+    expected = object_reference(data.decode("utf-8"))
     decoder, parts = decode_chunked(
         JsonColumnsDecoder, data, [data[i : i + 1] for i in range(len(data))]
     )
@@ -230,9 +239,9 @@ def test_json_decoder_utf8_split_across_chunks():
 
 
 def test_json_decoder_final_line_without_newline(small_trace_files):
-    """A complete final line missing its newline parses, as in one-shot."""
+    """A complete final line missing its newline parses at finish()."""
     text = small_trace_files["jsonl"].read_text(encoding="utf-8").rstrip("\n")
-    expected = decode_json_columns(text)
+    expected = object_reference(text)
     decoder = JsonColumnsDecoder()
     first = decoder.feed(text.encode("utf-8"))
     tail = decoder.finish()
@@ -289,7 +298,7 @@ def test_json_partial_final_line_names_line_number(small_trace_files):
 
 def test_json_trailing_blank_lines_are_not_an_error(small_trace_files):
     text = small_trace_files["jsonl"].read_text(encoding="utf-8")
-    expected = decode_json_columns(text)
+    expected = object_reference(text)
     padded = text + "\n\n"
     assert len(decode_json_columns(padded)) == len(expected)
     decoder = JsonColumnsDecoder()
@@ -922,22 +931,6 @@ def test_cli_rejects_invalid_knob_values(capsys, argv):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert "must be" in captured.err or "expected" in captured.err
-
-
-def test_cli_follow_requires_columnar_ingest(tmp_path, capsys, trace_files):
-    code = cli_main(
-        [
-            "monitor",
-            str(trace_files["jsonl"]),
-            "--follow",
-            "--ingest",
-            "objects",
-            "--idle-timeout",
-            "0",
-        ]
-    )
-    assert code == 2
-    assert "columnar" in capsys.readouterr().err
 
 
 def test_cli_monitor_follow_matches_one_shot(tmp_path, capsys, trace_files):
