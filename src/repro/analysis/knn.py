@@ -246,26 +246,6 @@ class KnnIndex(ABC):
             raise ModelError("k must be positive")
         return point, min(k, self.n_points)
 
-    def _candidate_distances(
-        self, query: np.ndarray, query_norm: float, indices: np.ndarray
-    ) -> np.ndarray:
-        """Canonical distances from one query to a gathered candidate set.
-
-        Must stay bit-identical to the full-matrix expansion in
-        :meth:`BruteForceKnn.query_many` for any candidate subset: the
-        einsum contraction runs over the same fixed-length axis in the same
-        order, and the per-element arithmetic is independent of which other
-        candidates share the gather.  The cross-backend equivalence suite
-        relies on this.
-        """
-        sq_norms = self._point_sq_norms()
-        squared = (
-            query_norm
-            - 2.0 * np.einsum("d,nd->n", query, self.points[indices])
-            + sq_norms[indices]
-        )
-        return np.sqrt(np.maximum(squared, 0.0))
-
     def _point_sq_norms(self) -> np.ndarray:
         norms = getattr(self, "_sq_norms", None)
         if norms is None or len(norms) != self.n_points:
@@ -346,7 +326,10 @@ class BallTreeKnn(KnnIndex):
     per-block lower bound ``max(|q - c| - r, 0)``, and scans blocks in
     ascending bound order until the bound of the next block exceeds the
     running k-th distance — each scanned block is one vectorised candidate
-    gather, never a per-point loop.
+    gather, never a per-point loop.  The points are also kept in a copy laid
+    out block by block, so a block's candidates are one contiguous run of
+    rows: gathering them is cache-friendly, which is what makes the scan
+    pay at high dimension.
 
     Incremental :meth:`add_points` appends to a *tail* of points that is
     always scanned exhaustively (so results match a rebuild exactly) and
@@ -404,7 +387,15 @@ class BallTreeKnn(KnnIndex):
             radii[position] = np.sqrt(
                 np.einsum("ij,ij->i", deltas, deltas)
             ).max()
-        self._blocks = blocks
+        # Lay the points out block by block; from here on ``_blocks`` holds
+        # positions in that layout and ``_order`` maps them back to indices.
+        order = np.concatenate(blocks)
+        self._order = order
+        self._ordered_points = self.points[order]
+        self._ordered_sq_norms = self._point_sq_norms()[order]
+        sizes = np.asarray([len(block) for block in blocks])
+        ends = np.cumsum(sizes)
+        self._blocks = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
         self._centroids = centroids
         # Pad the covering radii by a hair so floating-point slack in the
         # radius computation can never tighten a bound below a true distance.
@@ -418,6 +409,34 @@ class BallTreeKnn(KnnIndex):
         tree_size = max(self._tail_start, 1)
         if tail_length > max(self.leaf_size, self.tail_rebuild_fraction * tree_size):
             self._rebuild_blocks()
+            return
+        # The tail keeps its own indices as its positions in the layout.
+        self._order = np.concatenate([self._order, np.arange(n_old, self.n_points)])
+        self._ordered_points = np.vstack([self._ordered_points, self.points[n_old:]])
+        self._ordered_sq_norms = np.concatenate(
+            [self._ordered_sq_norms, self._point_sq_norms()[n_old:]]
+        )
+
+    def _candidate_distances(
+        self, query: np.ndarray, query_norm: float, positions: np.ndarray
+    ) -> np.ndarray:
+        """Canonical distances from one query to candidates at ``positions``.
+
+        Must stay bit-identical to the full-matrix expansion in
+        :meth:`BruteForceKnn.query_many` for any candidate subset: the
+        einsum contraction runs over the same fixed-length axis in the same
+        order, the squared norms are the canonical ones, and the per-element
+        arithmetic is independent of which other candidates share the
+        gather.  The cross-backend equivalence suite relies on this.
+        """
+        squared = (
+            query_norm
+            - 2.0 * np.einsum(
+                "d,nd->n", query, self._ordered_points.take(positions, axis=0)
+            )
+            + self._ordered_sq_norms.take(positions)
+        )
+        return np.sqrt(np.maximum(squared, 0.0))
 
     # ------------------------------------------------------------------ #
     # Search
@@ -479,6 +498,6 @@ class BallTreeKnn(KnnIndex):
                     [distances, self._candidate_distances(query, query_norm, more)]
                 )
             out_distances[row], out_indices[row] = _select_k_sorted(
-                distances, indices, k
+                distances, self._order.take(indices), k
             )
         return out_distances, out_indices

@@ -79,6 +79,7 @@ that loses its parent mid-stream raises instead of waiting forever.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import queue as _queue
 import threading
@@ -313,17 +314,46 @@ def _iter_channel_chunks(channel: Any, label: str) -> Iterator:
             )
 
 
-def _initialize_worker(payload: bytes) -> None:
+def _start_on_own_cpu(slots: Any) -> None:
+    """Move this worker onto its own CPU, then let the scheduler move it.
+
+    Freshly forked workers start on the parent's CPU, and the kernel can
+    leave them sharing it for hundreds of milliseconds while another
+    allowed CPU idles: two workers then run at half speed each.  Each
+    worker takes the next slot of the shared counter, pins itself to the
+    allowed CPU of that slot (which migrates it there) and restores the
+    full mask at once, so it starts spread out but is never held on one
+    CPU.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < 2:
+        return
+    with slots.get_lock():
+        slot = slots.value
+        slots.value = slot + 1
+    try:
+        os.sched_setaffinity(0, {allowed[slot % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass  # placement is only a hint; the worker runs wherever it is
+
+
+def _initialize_worker(payload: bytes, slots: Any = None) -> None:
     """Unpickle the shared worker context exactly once per worker process.
 
     The payload is pickled explicitly in the parent (rather than relying on
     ``initargs`` marshalling) so the model's ``__getstate__`` runs under
     every multiprocessing start method — fork included — and each worker
     gets its own deserialised model instance instead of a copy-on-write
-    alias of the parent's.
+    alias of the parent's.  ``slots`` is the wave's shared worker counter
+    (see :func:`_start_on_own_cpu`); without one the worker stays put.
     """
     global _WORKER_STATE
     fault_point("worker.boot")
+    if slots is not None:
+        _start_on_own_cpu(slots)
     _WORKER_STATE = pickle.loads(payload)
 
 
@@ -519,11 +549,12 @@ def _run_wave(
             # Workers fork at first submission, inheriting this snapshot.
             _SHARD_WINDOWS = materialised
             _SHARD_CHANNELS = channels if channels else None
+        slots = (context or multiprocessing.get_context()).Value("i", 0)
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
             initializer=_initialize_worker,
-            initargs=(payload,),
+            initargs=(payload, slots),
         ) as pool:
             futures = [(task.label, pool.submit(_run_shard, task)) for task in tasks]
             # Feeders start only after every submission: on fork platforms

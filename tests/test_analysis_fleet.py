@@ -13,6 +13,8 @@ the shard after every sibling shard has closed its output file.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -527,6 +529,43 @@ class TestParallelWorkerInternals:
         finally:
             parallel_backend._WORKER_STATE = saved
         assert outcome.error is not None and "initialised" in outcome.error
+
+    def test_worker_cpu_placement_takes_slots_and_restores_affinity(self):
+        # Each worker takes one slot of the wave's counter and ends with
+        # the full CPU mask it started with: placement never pins it.
+        slots = multiprocessing.get_context().Value("i", 0)
+        can_place = hasattr(os, "sched_setaffinity")
+        before = os.sched_getaffinity(0) if can_place else None
+        try:
+            for _ in range(3):
+                parallel_backend._start_on_own_cpu(slots)
+            if can_place:
+                assert os.sched_getaffinity(0) == before
+            assert slots.value == (3 if can_place and len(before) > 1 else 0)
+        finally:
+            if can_place:
+                os.sched_setaffinity(0, before)
+
+    def test_worker_cpu_slots_are_not_lost_under_contention(self):
+        # More placing processes than CPUs, all racing on one counter: a
+        # lost read-modify-write would leave the count short.
+        context = multiprocessing.get_context()
+        slots = context.Value("i", 0)
+        processes, calls = 6, 40
+
+        def place_many():
+            for _ in range(calls):
+                parallel_backend._start_on_own_cpu(slots)
+
+        workers = [context.Process(target=place_many) for _ in range(processes)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(worker.exitcode == 0 for worker in workers)
+        spreads = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
+        assert slots.value == (processes * calls if spreads else 0)
 
     def test_model_pickle_roundtrip_scores_identically(self, shared_model, base_registry):
         clone = pickle.loads(pickle.dumps(shared_model))

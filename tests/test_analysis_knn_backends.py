@@ -10,6 +10,8 @@ bytes cannot change.  This module locks the contract down at every layer:
 * raw index queries (single, batched, duplicates, degenerate dims, k edge
   cases, hypothesis-driven random instances),
 * incremental ``add_points`` versus a from-scratch rebuild,
+* the ball tree's block-by-block copy of the points, across leaf sizes
+  and tail-rebuild fractions,
 * pickle round-trips of fitted indexes (the PR 3 fleet transport path),
 * LOF scores and ``partial_fit`` versus fit-on-combined,
 * full monitor decisions/reports and fleet output files (serial and
@@ -214,6 +216,81 @@ class TestAddPoints:
             index.add_points(np.zeros((2, 5)))  # wrong dimension
         with pytest.raises(ModelError):
             index.add_points(np.array([[np.nan, 0.5, 0.5]]))
+
+
+#: Ball-tree leaf sizes from one point per block up to a single block.
+LEAF_SIZES = (1, 2, 5, 16, 64, 1000)
+
+
+def assert_block_layout(index: BallTreeKnn) -> None:
+    """The block-by-block copy of the points matches the points it maps to."""
+    order = index._order
+    assert sorted(order.tolist()) == list(range(index.n_points))
+    np.testing.assert_array_equal(index._ordered_points, index.points[order])
+    np.testing.assert_array_equal(
+        index._ordered_sq_norms, index._point_sq_norms()[order]
+    )
+    # Blocks are consecutive runs covering the tree part; the tail follows
+    # with its points in their own order.
+    flat = np.concatenate(index._blocks)
+    np.testing.assert_array_equal(flat, np.arange(index._tail_start))
+    np.testing.assert_array_equal(
+        order[index._tail_start :], np.arange(index._tail_start, index.n_points)
+    )
+
+
+class TestBallTreeLayout:
+    @pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+    def test_layout_maps_back_to_the_points(self, leaf_size):
+        index = BallTreeKnn(dirichlet_points(81, 200, 5), leaf_size=leaf_size)
+        assert_block_layout(index)
+        assert all(len(block) <= leaf_size for block in index._blocks)
+
+    @pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_leaf_size_bit_identical_to_brute(self, dim, leaf_size):
+        points = dirichlet_points(82, 240, dim)
+        queries = np.vstack([points[:10], dirichlet_points(83, 15, dim)])
+        index = BallTreeKnn(points, leaf_size=leaf_size)
+        brute = BruteForceKnn(points)
+        for k in (1, 6, len(points)):
+            assert_bit_identical(
+                index.query_many(queries, k), brute.query_many(queries, k)
+            )
+
+    @pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+    def test_duplicates_straddling_blocks_match_brute(self, leaf_size):
+        # Every point four times over, shuffled: equal distances land in
+        # different blocks and must still resolve to ascending indices.
+        rng = np.random.default_rng(84)
+        base = dirichlet_points(84, 25, 4)
+        points = np.vstack([base] * 4)[rng.permutation(100)]
+        queries = np.vstack([base[:8], dirichlet_points(85, 4, 4)])
+        index = BallTreeKnn(points, leaf_size=leaf_size)
+        brute = BruteForceKnn(points)
+        for k in (1, 3, 4, 5, 99):
+            assert_bit_identical(
+                index.query_many(queries, k), brute.query_many(queries, k)
+            )
+
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])
+    @pytest.mark.parametrize("rebuild_fraction", [0.05, 0.25, 4.0])
+    def test_every_add_answers_like_brute(self, rebuild_fraction, leaf_size):
+        # Small fractions rebuild on most adds, a large one keeps a long
+        # tail next to the blocks; after every add the index answers as a
+        # brute-force scan of the points so far.
+        full = dirichlet_points(86, 260, 4)
+        queries = np.vstack([full[:5], full[200:205], dirichlet_points(87, 6, 4)])
+        index = BallTreeKnn(
+            full[:40], leaf_size=leaf_size, tail_rebuild_fraction=rebuild_fraction
+        )
+        for start in range(40, 260, 22):
+            index.add_points(full[start : start + 22])
+            assert_block_layout(index)
+            brute = BruteForceKnn(full[: index.n_points])
+            assert_bit_identical(
+                index.query_many(queries, 7), brute.query_many(queries, 7)
+            )
 
 
 class TestPickleRoundTrip:

@@ -39,7 +39,7 @@ from repro.trace.columns import (
     decode_binary_columns,
     decode_json_columns,
 )
-from repro.trace.event import EventTypeRegistry
+from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.pipeline import BoundedHandoff, HandoffStats, prefetch_batches
 from repro.trace.reader import read_trace_columns
@@ -216,6 +216,84 @@ def test_json_decoder_chunked_equals_object_decode(small_trace_files):
         np.testing.assert_array_equal(merged_ts, expected.timestamps_us)
         merged_static = np.concatenate([p.static_sizes for p in parts])
         np.testing.assert_array_equal(merged_static, expected.static_sizes)
+        assert concatenated_events(parts) == list(
+            expected.events(0, len(expected))
+        ), name
+
+
+def _events_of(specs):
+    return [TraceEvent(t, etype, core, task, args) for t, etype, core, task, args in specs]
+
+
+#: Event shapes at the edges of the record layout, each a list of segments
+#: (the binary form encodes every segment with its own type table).
+DECODER_SHAPES = {
+    "single-event": lambda: [_events_of([(5, "vsync", 0, "", {})])],
+    # Records far longer than the 5-byte minimum the binary decoder sizes
+    # its columns by.
+    "large-records": lambda: [
+        _events_of(
+            (10 * i, "buffer_push", i % 4, "t" * (50 * i), {"blob": "x" * (97 * i)})
+            for i in range(1, 25)
+        )
+    ],
+    # Multi-byte timestamp deltas, zero deltas and timestamps past 2**32.
+    "wide-timestamps": lambda: [
+        _events_of(
+            (2**40 + (i // 2) * 2**33, "vsync", 0, "", {}) for i in range(20)
+        )
+    ],
+    "every-core": lambda: [
+        _events_of((i, "audio_decode", i, "", {}) for i in range(256))
+    ],
+    # Type codes past 127 take two varint bytes.
+    "many-types": lambda: [
+        _events_of((i, f"type_{i}", 0, "", {}) for i in range(300))
+    ],
+    # Segments whose type tables list the same names in different orders.
+    "segments-with-own-type-tables": lambda: [
+        _events_of((i, etype, 0, "", {}) for i, etype in enumerate(names))
+        for names in (
+            ["vsync", "audio_decode", "vsync"],
+            ["frame_drop", "vsync", "buffer_pop", "audio_decode"],
+            ["buffer_pop", "frame_drop"],
+        )
+    ],
+    "empty-segment-between": lambda: [
+        _events_of([(1, "vsync", 0, "", {}), (2, "frame_drop", 1, "", {})]),
+        [],
+        _events_of([(3, "frame_drop", 0, "", {}), (4, "audio_decode", 0, "", {})]),
+    ],
+    "utf8-fields": lambda: [
+        _events_of(
+            (i, "vsync", 0, "décodeur-€", {"note": "日本語" * i}) for i in range(8)
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+@pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
+def test_decoders_equal_object_decode_on_edge_shapes(shape, fmt):
+    """Whole-blob and chunked column decodes == the object codec."""
+    segments = DECODER_SHAPES[shape]()
+    if fmt == "binary":
+        data = b"".join(BinaryTraceCodec().encode(segment) for segment in segments)
+        expected = object_reference(data)
+        whole = decode_binary_columns(data)
+        decoder_cls = BinaryColumnsDecoder
+    else:
+        text = "".join(JsonTraceCodec().encode_events(segment) for segment in segments)
+        data = text.encode("utf-8")
+        expected = object_reference(text)
+        whole = decode_json_columns(text)
+        decoder_cls = JsonColumnsDecoder
+    assert len(expected) == sum(len(segment) for segment in segments)
+    assert_columns_equal(whole, expected)
+    assert list(whole.events(0, len(whole))) == list(expected.events(0, len(expected)))
+    for name, chunks in chunk_plans(data, seed=5):
+        decoder, parts = decode_chunked(decoder_cls, data, chunks)
+        assert decoder.type_names == expected.type_names, name
         assert concatenated_events(parts) == list(
             expected.events(0, len(expected))
         ), name
