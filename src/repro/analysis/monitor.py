@@ -26,6 +26,7 @@ from ..trace.batch import WindowBatch, batch_windows
 from ..trace.codec import encoded_trace_size
 from ..trace.columns import TraceColumns
 from ..trace.event import EventTypeRegistry, TraceEvent
+from ..trace.pipeline import _check_prefetch
 from ..trace.pipeline import prefetch_batches as _prefetch_batches
 from ..trace.stream import (
     ColumnarWindowSource,
@@ -51,17 +52,6 @@ __all__ = [
 ]
 
 _LOGGER = get_logger("analysis.monitor")
-
-
-def _check_prefetch(prefetch_batches: int) -> None:
-    """Reject negative prefetch depths instead of silently disabling."""
-    if prefetch_batches < 0:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"prefetch_batches must be >= 0 (got {prefetch_batches}); "
-            "use 0 to disable prefetching"
-        )
 
 
 def build_shard_pipeline(
@@ -378,7 +368,7 @@ class TraceMonitor:
         The batch-iterable entry point of the monitor: accepts either
         object-built batches (:func:`~repro.trace.batch.batch_windows`) or
         the lazy batches of the columnar ingest plane
-        (:func:`~repro.trace.stream.iter_column_batches`,
+        (:meth:`~repro.trace.stream.ColumnarWindowSource.batches`,
         :func:`~repro.trace.reader.iter_window_batches`) and produces
         results bit-identical to :meth:`monitor_windows` over the same
         windows.

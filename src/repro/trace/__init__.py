@@ -16,7 +16,6 @@ from .stream import (
     WindowPolicy,
     column_windows_by_count,
     column_windows_by_duration,
-    iter_column_batches,
     materialize_layout_windows,
     windows_by_count,
     windows_by_duration,
@@ -45,7 +44,6 @@ __all__ = [
     "ColumnarWindowSource",
     "column_windows_by_count",
     "column_windows_by_duration",
-    "iter_column_batches",
     "materialize_layout_windows",
     "windows_by_count",
     "windows_by_duration",

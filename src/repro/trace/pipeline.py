@@ -38,7 +38,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, TypeVar
 
-from ..errors import TraceStreamError
+from ..errors import ConfigurationError, TraceStreamError
 
 __all__ = ["BoundedHandoff", "HandoffStats", "prefetch_batches"]
 
@@ -199,6 +199,15 @@ class BoundedHandoff:
             except queue.Empty:
                 return discarded
             discarded += 1
+
+
+def _check_prefetch(prefetch_batches: int) -> None:
+    """Reject negative prefetch depths instead of silently disabling."""
+    if prefetch_batches < 0:
+        raise ConfigurationError(
+            f"prefetch_batches must be >= 0 (got {prefetch_batches}); "
+            "use 0 to disable prefetching"
+        )
 
 
 def prefetch_batches(

@@ -10,8 +10,8 @@ from .batch import WindowBatch
 from .codec import BinaryTraceCodec, JsonTraceCodec, _MAGIC
 from .columns import TraceColumns, decode_binary_columns, decode_json_columns
 from .event import EventTypeRegistry, TraceEvent
-from .pipeline import prefetch_batches
-from .stream import WindowPolicy, iter_column_batches
+from .pipeline import _check_prefetch, prefetch_batches
+from .stream import ColumnarWindowSource, WindowPolicy
 
 __all__ = [
     "read_trace",
@@ -134,21 +134,22 @@ def iter_window_batches(
     construction run in a background producer thread at most ``prefetch``
     batches ahead of the consumer
     (:func:`~repro.trace.pipeline.prefetch_batches`), overlapping ingest
-    with scoring.
+    with scoring.  A negative ``prefetch`` raises
+    :class:`~repro.errors.ConfigurationError`, like the monitor's
+    ``prefetch_batches``.
     """
+    _check_prefetch(prefetch)
     registry = registry if registry is not None else EventTypeRegistry()
 
     def _generate() -> Iterator[WindowBatch]:
-        columns = read_trace_columns(path)
-        yield from iter_column_batches(
-            columns,
-            registry,
-            batch_size=batch_size,
+        source = ColumnarWindowSource(
+            read_trace_columns(path),
             policy=policy,
             window_duration_us=window_duration_us,
             events_per_window=events_per_window,
             start_us=start_us,
             emit_empty=emit_empty,
         )
+        yield from source.batches(registry, batch_size)
 
     return prefetch_batches(_generate(), prefetch)

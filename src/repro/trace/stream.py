@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "ColumnarWindowSource",
     "column_windows_by_duration",
     "column_windows_by_count",
-    "iter_column_batches",
     "batches_from_layout",
     "materialize_layout_windows",
 ]
@@ -316,6 +315,16 @@ class ColumnWindowLayout(NamedTuple):
         return len(self.indices)
 
 
+class _EventSource(Protocol):
+    """Anything that materialises events ``start <= i < stop`` by index.
+
+    :class:`~repro.trace.columns.TraceColumns` is one; a streaming source
+    spread over several decoded chunks provides another.
+    """
+
+    def events(self, start: int, stop: int) -> tuple[TraceEvent, ...]: ...
+
+
 def _check_sorted_columns(timestamps: np.ndarray) -> None:
     if len(timestamps) > 1:
         bad = np.flatnonzero(timestamps[1:] < timestamps[:-1])
@@ -328,36 +337,37 @@ def _check_sorted_columns(timestamps: np.ndarray) -> None:
 
 
 def column_windows_by_duration(
-    columns: TraceColumns,
+    columns: "TraceColumns | np.ndarray",
     window_duration_us: int,
     start_us: int = 0,
     emit_empty: bool = True,
+    first_index: int = 0,
 ) -> ColumnWindowLayout:
     """Array-native mirror of :func:`windows_by_duration`.
 
-    One ``searchsorted`` over the timestamp column replaces the per-event
-    Python loop; the resulting layout describes exactly the windows the
-    object path would emit (same indices, extents and event spans, the
-    equivalence suite asserts it window by window).
+    ``columns`` is a :class:`~repro.trace.columns.TraceColumns` or just its
+    timestamp column.  One ``searchsorted`` over the timestamps replaces
+    the per-event Python loop; the resulting layout describes exactly the
+    windows the object path would emit (same indices, extents and event
+    spans, the equivalence suite asserts it window by window).
+
+    A driver resumes a stream by cutting its next span with ``start_us``
+    at the first slot not yet cut and ``first_index`` at the number of
+    windows already cut.
     """
     if window_duration_us <= 0:
         raise TraceStreamError("window_duration_us must be positive")
-    timestamps = columns.timestamps_us
+    timestamps = columns.timestamps_us if isinstance(columns, TraceColumns) else columns
     n = len(timestamps)
     if n == 0:
         if emit_empty:
             return ColumnWindowLayout(
                 event_offsets=np.zeros(2, dtype=np.int64),
-                indices=np.zeros(1, dtype=np.int64),
+                indices=np.array([first_index], dtype=np.int64),
                 start_us=np.array([start_us], dtype=np.int64),
                 end_us=np.array([start_us + window_duration_us], dtype=np.int64),
             )
-        return ColumnWindowLayout(
-            event_offsets=np.zeros(1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            start_us=np.empty(0, dtype=np.int64),
-            end_us=np.empty(0, dtype=np.int64),
-        )
+        return _empty_layout()
     _check_sorted_columns(timestamps)
     if int(timestamps[0]) < start_us:
         raise TraceStreamError(
@@ -368,7 +378,6 @@ def column_windows_by_duration(
     offsets = np.searchsorted(timestamps, bounds, side="left")
     starts = bounds[:-1]
     ends = bounds[1:]
-    indices = np.arange(n_slots, dtype=np.int64)
     if not emit_empty:
         keep = np.flatnonzero(np.diff(offsets) > 0)
         # Dropped slots are empty (zero-length spans), so the kept spans
@@ -376,19 +385,20 @@ def column_windows_by_duration(
         offsets = np.concatenate((offsets[keep], offsets[keep[-1] + 1 :][:1]))
         starts = starts[keep]
         ends = ends[keep]
-        indices = np.arange(len(keep), dtype=np.int64)
     return ColumnWindowLayout(
         event_offsets=offsets.astype(np.int64),
-        indices=indices,
+        indices=first_index + np.arange(len(starts), dtype=np.int64),
         start_us=starts.astype(np.int64),
         end_us=ends.astype(np.int64),
     )
 
 
 def column_windows_by_count(
-    columns: TraceColumns,
+    columns: "TraceColumns | np.ndarray",
     events_per_window: int,
     start_us: int = 0,
+    first_index: int = 0,
+    previous_last_us: int | None = None,
 ) -> ColumnWindowLayout:
     """Array-native mirror of :func:`windows_by_count`.
 
@@ -397,18 +407,17 @@ def column_windows_by_count(
     object path (a window starts *at* the previous window's last timestamp
     exactly when its first event carries that timestamp, otherwise one
     microsecond past it).
+
+    A driver resumes a stream by passing ``first_index`` (windows already
+    cut) and ``previous_last_us``, the last timestamp of the window before
+    this span; only the stream's first window starts at ``start_us``.
     """
     if events_per_window <= 0:
         raise TraceStreamError("events_per_window must be positive")
-    timestamps = columns.timestamps_us
+    timestamps = columns.timestamps_us if isinstance(columns, TraceColumns) else columns
     n = len(timestamps)
     if n == 0:
-        return ColumnWindowLayout(
-            event_offsets=np.zeros(1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            start_us=np.empty(0, dtype=np.int64),
-            end_us=np.empty(0, dtype=np.int64),
-        )
+        return _empty_layout()
     _check_sorted_columns(timestamps)
     n_windows = -(-n // events_per_window)
     offsets = np.minimum(
@@ -416,43 +425,58 @@ def column_windows_by_count(
     )
     lasts = timestamps[offsets[1:] - 1]
     ends = lasts + 1
-    starts = np.empty(n_windows, dtype=np.int64)
-    starts[0] = start_us
-    if n_windows > 1:
-        firsts = timestamps[offsets[1:-1]]
-        boundary = lasts[:-1]
-        starts[1:] = np.where(firsts == boundary, boundary, boundary + 1)
-    if int(timestamps[0]) < start_us:
-        raise TraceFormatError(
-            f"event at t={int(timestamps[0])} outside window "
-            f"[{start_us}, {int(ends[0])})"
-        )
+    boundary = np.empty(n_windows, dtype=np.int64)
+    boundary[0] = start_us if previous_last_us is None else previous_last_us
+    boundary[1:] = lasts[:-1]
+    firsts = timestamps[offsets[:-1]]
+    starts = np.where(firsts == boundary, boundary, boundary + 1)
+    if previous_last_us is None:
+        if int(timestamps[0]) < start_us:
+            raise TraceFormatError(
+                f"event at t={int(timestamps[0])} outside window "
+                f"[{start_us}, {int(ends[0])})"
+            )
+        starts[0] = start_us
     return ColumnWindowLayout(
         event_offsets=offsets,
-        indices=np.arange(n_windows, dtype=np.int64),
+        indices=first_index + np.arange(n_windows, dtype=np.int64),
         start_us=starts,
         end_us=ends,
     )
 
 
+def _empty_layout() -> ColumnWindowLayout:
+    return ColumnWindowLayout(
+        event_offsets=np.zeros(1, dtype=np.int64),
+        indices=np.empty(0, dtype=np.int64),
+        start_us=np.empty(0, dtype=np.int64),
+        end_us=np.empty(0, dtype=np.int64),
+    )
+
+
+def _layout_window(
+    source: _EventSource, layout: ColumnWindowLayout, w: int
+) -> TraceWindow:
+    offsets = layout.event_offsets
+    return TraceWindow(
+        index=int(layout.indices[w]),
+        start_us=int(layout.start_us[w]),
+        end_us=int(layout.end_us[w]),
+        events=source.events(int(offsets[w]), int(offsets[w + 1])),
+    )
+
+
 def materialize_layout_windows(
-    columns: TraceColumns, layout: ColumnWindowLayout, start: int, stop: int
+    columns: _EventSource, layout: ColumnWindowLayout, start: int, stop: int
 ) -> list[TraceWindow]:
     """Materialise windows ``start <= w < stop`` of a layout as objects.
 
+    ``columns`` is the :class:`~repro.trace.columns.TraceColumns` the
+    layout was cut from, or any other source of its events by index.
     Used where the object form is genuinely required (reference learning,
     recorder context) — everything else stays columnar.
     """
-    offsets = layout.event_offsets
-    return [
-        TraceWindow(
-            index=int(layout.indices[w]),
-            start_us=int(layout.start_us[w]),
-            end_us=int(layout.end_us[w]),
-            events=columns.events(int(offsets[w]), int(offsets[w + 1])),
-        )
-        for w in range(start, stop)
-    ]
+    return [_layout_window(columns, layout, w) for w in range(start, stop)]
 
 
 class _ColumnCodeMapper:
@@ -461,18 +485,30 @@ class _ColumnCodeMapper:
     Registers unseen event-type names into the monitor registry in global
     event order, batch by batch — exactly the growth a sequential
     ``WindowBatch.from_windows`` over materialised windows would produce.
+    The registry snapshot is taken once, at construction; the file type
+    table may grow afterwards (a stream meets new names chunk by chunk),
+    and :meth:`extend` maps the new names against that same snapshot.
     """
 
-    __slots__ = ("map", "names")
+    __slots__ = ("map", "names", "_known")
 
-    def __init__(self, type_names: Sequence[str], registry: EventTypeRegistry) -> None:
+    def __init__(self, registry: EventTypeRegistry) -> None:
+        self._known = registry.to_dict()
+        self.names: tuple[str, ...] = ()
+        self.map = np.empty(0, dtype=np.int32)
+
+    def extend(self, type_names: Sequence[str]) -> None:
+        """Map the names appended to the file type table since last call."""
+        if len(type_names) == len(self.names):
+            return
+        fresh = tuple(type_names[len(self.names) :])
         self.names = tuple(type_names)
-        known = registry.to_dict()
-        self.map = np.fromiter(
-            (known.get(name, -1) for name in self.names),
+        addition = np.fromiter(
+            (self._known.get(name, -1) for name in fresh),
             dtype=np.int32,
-            count=len(self.names),
+            count=len(fresh),
         )
+        self.map = np.concatenate((self.map, addition))
 
     def register_span(
         self, file_codes: np.ndarray, base: int, registry: EventTypeRegistry
@@ -520,22 +556,32 @@ def batches_from_layout(
         raise TraceStreamError(
             f"first_window {first_window} out of range for {n_windows} windows"
         )
-    mapper = _ColumnCodeMapper(columns.type_names, registry)
+    mapper = _ColumnCodeMapper(registry)
     for w0 in range(first_window, n_windows, batch_size):
         w1 = min(w0 + batch_size, n_windows)
-        yield _build_column_batch(columns, layout, registry, mapper, w0, w1)
+        yield _build_layout_batch(columns, layout, registry, mapper, w0, w1, columns)
 
 
-def _build_column_batch(
+def _build_layout_batch(
     columns: TraceColumns,
     layout: ColumnWindowLayout,
     registry: EventTypeRegistry,
     mapper: _ColumnCodeMapper,
     w0: int,
     w1: int,
+    source: _EventSource,
 ) -> WindowBatch:
+    """Assemble windows ``w0 <= w < w1`` of ``layout`` into one batch.
+
+    The single batch builder of both columnar drivers: maps the span's
+    type codes into ``registry`` (growing it in event order), derives the
+    per-window ``dims`` and byte sizes from ``columns``, and defers window
+    objects to a factory that reads events from ``source`` — ``columns``
+    itself for a one-shot read, the retained chunks for a stream.
+    """
     offsets = layout.event_offsets[w0 : w1 + 1]
     lo, hi = int(offsets[0]), int(offsets[-1])
+    mapper.extend(columns.type_names)
     file_codes = columns.type_codes[lo:hi]
     dimension_before = len(registry)
     growth = mapper.register_span(file_codes, lo, registry)
@@ -547,15 +593,7 @@ def _build_column_batch(
     sizes = encoded_window_sizes_columns(columns, offsets)
 
     def factory(position: int) -> TraceWindow:
-        w = w0 + position
-        return TraceWindow(
-            index=int(layout.indices[w]),
-            start_us=int(layout.start_us[w]),
-            end_us=int(layout.end_us[w]),
-            events=columns.events(
-                int(layout.event_offsets[w]), int(layout.event_offsets[w + 1])
-            ),
-        )
+        return _layout_window(source, layout, w0 + position)
 
     return WindowBatch(
         codes=codes,
@@ -568,39 +606,6 @@ def _build_column_batch(
         windows=None,
         window_sizes=sizes,
         window_factory=factory,
-    )
-
-
-def iter_column_batches(
-    columns: TraceColumns,
-    registry: EventTypeRegistry,
-    batch_size: int = 64,
-    policy: WindowPolicy = WindowPolicy.BY_DURATION,
-    window_duration_us: int = 40_000,
-    events_per_window: int = 256,
-    start_us: int = 0,
-    emit_empty: bool = True,
-    first_window: int = 0,
-) -> Iterator[WindowBatch]:
-    """Columnar mirror of :meth:`TraceStream.window_batches`.
-
-    Cuts the columns into windows array-natively (``searchsorted`` for
-    duration windows, strided offsets for count windows) and yields lazy
-    :class:`WindowBatch` micro-batches — no per-event Python on the hot
-    path, bit-identical decisions and byte accounting downstream.
-    """
-    if policy is WindowPolicy.BY_DURATION:
-        layout = column_windows_by_duration(
-            columns, window_duration_us, start_us=start_us, emit_empty=emit_empty
-        )
-    elif policy is WindowPolicy.BY_COUNT:
-        layout = column_windows_by_count(
-            columns, events_per_window, start_us=start_us
-        )
-    else:
-        raise TraceStreamError(f"unknown window policy: {policy!r}")
-    return batches_from_layout(
-        columns, layout, registry, batch_size=batch_size, first_window=first_window
     )
 
 
@@ -635,20 +640,36 @@ class ColumnarWindowSource:
         batch_size: int,
         default_window_duration_us: int = 40_000,
     ) -> Iterator[WindowBatch]:
-        """Yield the source's window batches against ``registry``."""
-        duration = (
-            self.window_duration_us
-            if self.window_duration_us is not None
-            else default_window_duration_us
-        )
-        return iter_column_batches(
+        """Yield the source's window batches against ``registry``.
+
+        The one-shot columnar driver: the whole trace is cut in one array
+        call (``searchsorted`` for duration windows, strided offsets for
+        count windows) and handed to :func:`batches_from_layout` — no
+        per-event Python on the hot path, bit-identical decisions and byte
+        accounting downstream.
+        """
+        if self.policy is WindowPolicy.BY_DURATION:
+            duration = (
+                self.window_duration_us
+                if self.window_duration_us is not None
+                else default_window_duration_us
+            )
+            layout = column_windows_by_duration(
+                self.columns,
+                duration,
+                start_us=self.start_us,
+                emit_empty=self.emit_empty,
+            )
+        elif self.policy is WindowPolicy.BY_COUNT:
+            layout = column_windows_by_count(
+                self.columns, self.events_per_window, start_us=self.start_us
+            )
+        else:
+            raise TraceStreamError(f"unknown window policy: {self.policy!r}")
+        return batches_from_layout(
             self.columns,
+            layout,
             registry,
             batch_size=batch_size,
-            policy=self.policy,
-            window_duration_us=duration,
-            events_per_window=self.events_per_window,
-            start_us=self.start_us,
-            emit_empty=self.emit_empty,
             first_window=self.first_window,
         )

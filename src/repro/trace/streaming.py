@@ -20,8 +20,11 @@ delivering buffer flushes.  This module closes that gap:
   :class:`~repro.trace.batch.WindowBatch` micro-batches that are **bit
   identical** to a one-shot read of the final file — same window extents,
   same registry growth, same byte accounting, same lazily materialised
-  events.  Memory stays bounded: decoded events are discarded as soon as
-  the batch that owns them has been handed over.
+  events.  It is a thin driver over the columnar windowing kernels of
+  :mod:`repro.trace.stream` (cut, code mapping, batch assembly), the same
+  ones the one-shot :class:`~repro.trace.stream.ColumnarWindowSource`
+  drives.  Memory stays bounded: events whose batch has been handed over
+  are dropped when the next chunk is buffered.
 
 Every inter-stage queue follows the overrun/underrun policy of
 :class:`repro.media.bufferqueue.FrameBuffer`: explicit bounded depth,
@@ -36,7 +39,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain as _chain
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -44,15 +47,20 @@ from ..errors import TraceFormatError, TraceStreamError
 from ..testing.faults import corrupt_chunk
 from .batch import WindowBatch
 from .codec import _MAGIC
-from .columns import (
-    BinaryColumnsDecoder,
-    JsonColumnsDecoder,
-    TraceColumns,
-    encoded_window_sizes_columns,
-)
-from .event import EventTypeRegistry
+from .columns import BinaryColumnsDecoder, JsonColumnsDecoder, TraceColumns
+from .event import EventTypeRegistry, TraceEvent
 from .pipeline import BoundedHandoff, HandoffStats
-from .stream import WindowPolicy, _check_sorted_columns, _ColumnCodeMapper
+from .stream import (
+    ColumnWindowLayout,
+    WindowPolicy,
+    _build_layout_batch,
+    _check_sorted_columns,
+    _ColumnCodeMapper,
+    _empty_layout,
+    column_windows_by_count,
+    column_windows_by_duration,
+    materialize_layout_windows,
+)
 from .window import TraceWindow
 
 __all__ = [
@@ -250,81 +258,56 @@ class StreamStats:
     corrupt_offsets: "tuple[int, ...]" = ()
 
 
-class _StreamCodeMapper(_ColumnCodeMapper):
-    """A :class:`_ColumnCodeMapper` whose type table grows with the stream.
+class _ChunkChain:
+    """Decoded chunks backing a span of the stream buffer.
 
-    The registry snapshot is taken once, at construction (exactly when the
-    one-shot ``batches_from_layout`` takes it); names that appear later in
-    the stream extend the map against that same snapshot, so the
-    stream-global code assignment matches the one-shot decode bit for bit.
+    Each entry pairs a chunk with the buffer index of its first event;
+    :meth:`events` duck-types :meth:`TraceColumns.events
+    <repro.trace.columns.TraceColumns.events>` across chunk boundaries, so
+    the shared batch builder and :func:`~repro.trace.stream.materialize_layout_windows`
+    read a stream exactly as they read a one-shot trace.
     """
 
-    __slots__ = ("_known",)
+    __slots__ = ("_chunks",)
 
-    def __init__(self, registry: EventTypeRegistry) -> None:
-        self.names = ()
-        self._known = registry.to_dict()
-        self.map = np.empty(0, dtype=np.int32)
+    def __init__(self, chunks: Iterable[Tuple[int, TraceColumns]]) -> None:
+        self._chunks = tuple(chunks)
 
-    def extend(self, names: Sequence[str]) -> None:
-        if len(names) == len(self.names):
-            return
-        fresh = tuple(names[len(self.names) :])
-        self.names = tuple(names)
-        addition = np.fromiter(
-            (self._known.get(name, -1) for name in fresh),
-            dtype=np.int32,
-            count=len(fresh),
-        )
-        self.map = np.concatenate((self.map, addition))
+    def events(self, start: int, stop: int) -> tuple[TraceEvent, ...]:
+        parts = [
+            chunk.events(max(start, first) - first, min(stop, first + len(chunk)) - first)
+            for first, chunk in self._chunks
+            if first < stop and first + len(chunk) > start
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(_chain.from_iterable(parts))
 
 
-class _SpanView:
-    """Duck-typed :class:`TraceColumns` stand-in for byte accounting.
-
-    :func:`~repro.trace.columns.encoded_window_sizes_columns` only touches
-    the flat arrays and the type-table length, so the streaming batch
-    builder hands it the window buffers directly instead of building a
-    throwaway :class:`TraceColumns`.
-    """
-
-    __slots__ = ("timestamps_us", "type_codes", "cores", "static_sizes", "type_names")
-
-    def __init__(
-        self,
-        timestamps_us: np.ndarray,
-        type_codes: np.ndarray,
-        cores: np.ndarray,
-        static_sizes: np.ndarray,
-        type_names: Sequence[str],
-    ) -> None:
-        self.timestamps_us = timestamps_us
-        self.type_codes = type_codes
-        self.cores = cores
-        self.static_sizes = static_sizes
-        self.type_names = type_names
+def _rebase(layout: ColumnWindowLayout, first: int, shift: int) -> ColumnWindowLayout:
+    """Windows ``first..`` of ``layout``, their event offsets moved by ``-shift``."""
+    return ColumnWindowLayout(
+        event_offsets=layout.event_offsets[first:] - shift,
+        indices=layout.indices[first:],
+        start_us=layout.start_us[first:],
+        end_us=layout.end_us[first:],
+    )
 
 
-def _chain_events(
-    chunks: Sequence[Tuple[int, TraceColumns]], start: int, stop: int
-) -> tuple:
-    """Materialise events ``start <= i < stop`` across retained chunks."""
-    if start >= stop:
-        return ()
-    parts = []
-    for chunk_start, chunk in chunks:
-        chunk_end = chunk_start + len(chunk)
-        if chunk_end <= start or chunk_start >= stop:
-            continue
-        parts.append(
-            chunk.events(
-                max(start, chunk_start) - chunk_start,
-                min(stop, chunk_end) - chunk_start,
-            )
-        )
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(_chain.from_iterable(parts))
+def _append(
+    layout: ColumnWindowLayout, tail: ColumnWindowLayout, shift: int
+) -> ColumnWindowLayout:
+    """``layout`` followed by ``tail``, whose offsets start ``shift`` events in."""
+    return ColumnWindowLayout(
+        event_offsets=np.concatenate((layout.event_offsets, tail.event_offsets[1:] + shift)),
+        indices=np.concatenate((layout.indices, tail.indices)),
+        start_us=np.concatenate((layout.start_us, tail.start_us)),
+        end_us=np.concatenate((layout.end_us, tail.end_us)),
+    )
+
+
+def _join(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    return np.concatenate((head, tail)) if len(head) else tail
 
 
 class StreamingWindowSource:
@@ -341,10 +324,13 @@ class StreamingWindowSource:
     The emitted batches are bit-identical to a one-shot columnar read of
     the final stream contents: same window layout, same registry growth
     order, same ``dims``/byte-size accounting, same lazily materialised
-    events.  Decoded events are discarded once the batch owning them has
-    been yielded, so the buffered high-water mark
-    (``stats.peak_buffered_events``) scales with ``batch_size`` times the
-    window event count — never with the stream length.
+    events.  Each pump buffers one chunk; once the buffered span completes
+    enough windows to fill a batch, all of them are cut in one array call.
+    Events whose batch has been yielded are dropped when the next chunk is
+    buffered, so the buffered high-water mark
+    (``stats.peak_buffered_events``) scales with the chunk size plus
+    ``batch_size`` times the window event count — never with the stream
+    length.
     """
 
     def __init__(
@@ -370,29 +356,30 @@ class StreamingWindowSource:
         # Stream-global type table (first-appearance order across chunks).
         self._global_names: list[str] = []
         self._global_codes: dict[str, int] = {}
-        # Event buffers: absolute event index of element 0 is _buf_base.
-        self._ts_buf = np.empty(0, dtype=np.int64)
-        self._code_buf = np.empty(0, dtype=np.int32)
-        self._core_buf = np.empty(0, dtype=np.int64)
-        self._static_buf = np.empty(0, dtype=np.int64)
-        self._buf_base = 0
-        self._events_total = 0
         self._last_ts: int | None = None
-        self._chunk_chain: List[Tuple[int, TraceColumns]] = []
-        # Completed (but not yet batched) windows: absolute event spans.
-        self._win_lo: list[int] = []
-        self._win_hi: list[int] = []
-        self._win_index: list[int] = []
-        self._win_start: list[int] = []
-        self._win_end: list[int] = []
-        self._win_cursor = 0
-        self._windows_emitted = 0
-        self._consumed_abs = 0
-        # Policy state.
-        self._next_slot = 0  # BY_DURATION: first incomplete slot
-        self._assigned_abs = 0  # BY_COUNT: first unassigned event
-        self._count_window_start: int | None = None
-        self._count_boundary: int = 0
+        # Buffered events in global type codes.  Its arrays back the batch
+        # builder; events materialise from the chunks in ``_chunks``, each
+        # paired with the buffer index of its first event.
+        self._buffer = TraceColumns(
+            timestamps_us=np.empty(0, dtype=np.int64),
+            type_codes=np.empty(0, dtype=np.int32),
+            cores=np.empty(0, dtype=np.int64),
+            type_names=(),
+            static_sizes=np.empty(0, dtype=np.int64),
+            source_kind="events",
+        )
+        self._chunks: List[Tuple[int, TraceColumns]] = []
+        # Windows cut so far but not yet handed over (offsets index the
+        # buffer); ``_cursor`` is the first one not yet in a batch.
+        self._pending = _empty_layout()
+        self._cursor = 0
+        self._windows_cut = 0
+        # Where the next cut resumes: the buffer's first unassigned event,
+        # the first uncut slot (BY_DURATION) and the last timestamp of the
+        # previous window (BY_COUNT).
+        self._cut = 0
+        self._next_start_us = self.recipe.start_us
+        self._previous_last_us: int | None = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -523,7 +510,7 @@ class StreamingWindowSource:
             chunk = next(self._columns_iter)
         except StopIteration:
             self._exhausted = True
-            self._finalize_windows()
+            self._cut_windows(final=True)
             return False
         self._extend(chunk)
         return True
@@ -548,119 +535,123 @@ class StreamingWindowSource:
                     f"({first_ts} after {self._last_ts})"
                 )
             _check_sorted_columns(timestamps)
-            if self._events_total == 0 and first_ts < self.recipe.start_us:
+            if (
+                self.recipe.policy is WindowPolicy.BY_DURATION
+                and self._last_ts is None
+                and first_ts < self.recipe.start_us
+            ):
                 raise TraceStreamError(
                     f"event at t={first_ts} precedes stream start "
                     f"{self.recipe.start_us}"
                 )
-            self._ts_buf = np.concatenate((self._ts_buf, timestamps))
-            self._code_buf = np.concatenate(
-                (self._code_buf, remap[chunk.type_codes])
-            )
-            self._core_buf = np.concatenate((self._core_buf, chunk.cores))
-            self._static_buf = np.concatenate(
-                (self._static_buf, chunk.static_sizes)
-            )
-            self._chunk_chain.append((self._events_total, chunk))
-            self._events_total += n
+            self._buffer_chunk(chunk, remap[chunk.type_codes])
             self.stats.events += n
             self._last_ts = int(timestamps[-1])
-        self._advance_windows(final=False)
-        if len(self._ts_buf) > self.stats.peak_buffered_events:
-            self.stats.peak_buffered_events = len(self._ts_buf)
+        if len(self._buffer) > self.stats.peak_buffered_events:
+            self.stats.peak_buffered_events = len(self._buffer)
+
+    def _buffer_chunk(self, chunk: TraceColumns, codes: np.ndarray) -> None:
+        """Append ``chunk`` to the buffer, dropping events already batched."""
+        drop = 0
+        if self._cursor:
+            drop = int(self._pending.event_offsets[self._cursor])
+            self._chunks = [
+                (first - drop, kept)
+                for first, kept in self._chunks
+                if first + len(kept) > drop
+            ]
+            self._pending = _rebase(self._pending, self._cursor, drop)
+            self._cursor = 0
+            self._cut -= drop
+        old = self._buffer
+        self._buffer = TraceColumns(
+            timestamps_us=_join(old.timestamps_us[drop:], chunk.timestamps_us),
+            type_codes=_join(old.type_codes[drop:], codes),
+            cores=_join(old.cores[drop:], chunk.cores),
+            type_names=tuple(self._global_names),
+            static_sizes=_join(old.static_sizes[drop:], chunk.static_sizes),
+            source_kind="events",
+        )
+        self._chunks.append((len(old) - drop, chunk))
 
     # ------------------------------------------------------------------ #
     # Incremental windowing
     # ------------------------------------------------------------------ #
-    def _advance_windows(self, final: bool) -> None:
-        if self.recipe.policy is WindowPolicy.BY_DURATION:
-            self._advance_duration(final)
-        elif self.recipe.policy is WindowPolicy.BY_COUNT:
-            self._advance_count(final)
-        else:
-            raise TraceStreamError(
-                f"unknown window policy: {self.recipe.policy!r}"
+    def _cut_windows(self, final: bool) -> None:
+        """Cut every window the buffered events complete, in one array call.
+
+        A duration slot is complete once an event at or past its end has
+        arrived; a count window once it holds ``events_per_window`` events.
+        At end-of-stream every remaining event is cut.
+        """
+        timestamps = self._buffer.timestamps_us
+        cut = self._cut
+        policy = self.recipe.policy
+        if policy is WindowPolicy.BY_DURATION:
+            duration = self._duration
+            assert duration is not None
+            stop = len(timestamps)
+            if not final and stop > cut:
+                # Keep the newest event's slot open: later events may join it.
+                newest = int(timestamps[-1])
+                open_start = newest - (newest - self._next_start_us) % duration
+                stop = int(np.searchsorted(timestamps, open_start, side="left"))
+            # An empty stream still ends with the one-shot layout of an
+            # empty trace (one empty window when ``emit_empty``).
+            if stop == cut and (not final or self._last_ts is not None):
+                return
+            layout = column_windows_by_duration(
+                timestamps[cut:stop],
+                duration,
+                start_us=self._next_start_us,
+                emit_empty=self.recipe.emit_empty,
+                first_index=self._windows_cut,
             )
-
-    def _advance_duration(self, final: bool) -> None:
-        duration = self._duration
-        assert duration is not None
-        start0 = self.recipe.start_us
-        if self._events_total == 0:
-            if final and self.recipe.emit_empty and self._windows_emitted == 0:
-                # One-shot layout of an empty trace: a single empty window.
-                self._push_window(0, start0, start0 + duration, 0, 0)
-            return
-        assert self._last_ts is not None
-        last_slot = (self._last_ts - start0) // duration
-        # A slot is complete once an event at/after its end has arrived;
-        # at end-of-stream the slot holding the last event completes too.
-        until = last_slot + 1 if final else last_slot
-        if until <= self._next_slot:
-            return
-        bounds = start0 + duration * np.arange(
-            self._next_slot, until + 1, dtype=np.int64
-        )
-        relative = np.searchsorted(self._ts_buf, bounds, side="left")
-        for k in range(len(bounds) - 1):
-            lo = int(relative[k]) + self._buf_base
-            hi = int(relative[k + 1]) + self._buf_base
-            if hi > lo or self.recipe.emit_empty:
-                index = (
-                    self._next_slot + k
-                    if self.recipe.emit_empty
-                    else self._windows_emitted
-                )
-                self._push_window(
-                    index, int(bounds[k]), int(bounds[k + 1]), lo, hi
-                )
-        self._assigned_abs = int(relative[-1]) + self._buf_base
-        self._next_slot = until
-
-    def _advance_count(self, final: bool) -> None:
-        per_window = self.recipe.events_per_window
-        while self._events_total - self._assigned_abs >= per_window:
-            self._cut_count_window(self._assigned_abs + per_window)
-        if final and self._events_total > self._assigned_abs:
-            self._cut_count_window(self._events_total)
-
-    def _cut_count_window(self, hi: int) -> None:
-        lo = self._assigned_abs
-        first_ts = int(self._ts_buf[lo - self._buf_base])
-        last_ts = int(self._ts_buf[hi - 1 - self._buf_base])
-        if self._windows_emitted == 0:
-            if first_ts < self.recipe.start_us:
-                raise TraceFormatError(
-                    f"event at t={first_ts} outside window "
-                    f"[{self.recipe.start_us}, {last_ts + 1})"
-                )
-            start = self.recipe.start_us
-        elif first_ts == self._count_boundary:
-            # Duplicate boundary timestamp: the window starts *at* the
-            # boundary so the event falls inside its half-open extent.
-            start = self._count_boundary
+            if layout.n_windows:
+                self._next_start_us = int(layout.end_us[-1])
+        elif policy is WindowPolicy.BY_COUNT:
+            per_window = self.recipe.events_per_window
+            stop = len(timestamps)
+            if not final:
+                stop = cut + (stop - cut) // per_window * per_window
+            if stop == cut:
+                return
+            layout = column_windows_by_count(
+                timestamps[cut:stop],
+                per_window,
+                start_us=self.recipe.start_us,
+                first_index=self._windows_cut,
+                previous_last_us=self._previous_last_us,
+            )
+            self._previous_last_us = int(timestamps[stop - 1])
         else:
-            start = self._count_boundary + 1
-        self._push_window(self._windows_emitted, start, last_ts + 1, lo, hi)
-        self._count_boundary = last_ts
-        self._assigned_abs = hi
-
-    def _push_window(
-        self, index: int, start_us: int, end_us: int, lo: int, hi: int
-    ) -> None:
-        self._win_index.append(index)
-        self._win_start.append(start_us)
-        self._win_end.append(end_us)
-        self._win_lo.append(lo)
-        self._win_hi.append(hi)
-        self._windows_emitted += 1
-        self.stats.windows += 1
-
-    def _finalize_windows(self) -> None:
-        self._advance_windows(final=True)
+            raise TraceStreamError(f"unknown window policy: {policy!r}")
+        self._pending = _append(self._pending, layout, cut)
+        self._cut = stop
+        self._windows_cut += layout.n_windows
+        self.stats.windows += layout.n_windows
 
     def _available(self) -> int:
-        return len(self._win_index) - self._win_cursor
+        return self._pending.n_windows - self._cursor
+
+    def _fill(self, n_windows: int) -> bool:
+        """Whether ``n_windows`` are ready, cutting only when that can help.
+
+        Cutting on every pump would spend a kernel call per chunk; in
+        follow mode chunks are often smaller than one window.
+        """
+        available = self._available()
+        if available < n_windows and available + self._completable() >= n_windows:
+            self._cut_windows(final=False)
+        return self._available() >= n_windows
+
+    def _completable(self) -> int:
+        """Upper bound on the windows a cut of the buffered span would add."""
+        if self.recipe.policy is WindowPolicy.BY_COUNT:
+            return (len(self._buffer) - self._cut) // self.recipe.events_per_window
+        if self._last_ts is None or self._duration is None:
+            return 0
+        return (self._last_ts - self._next_start_us) // self._duration
 
     # ------------------------------------------------------------------ #
     # Consumption
@@ -683,30 +674,17 @@ class StreamingWindowSource:
             raise TraceStreamError("stream already consumed")
         self._ensure_started(default_window_duration_us)
         boundary = self.recipe.start_us + reference_duration_us
-        while not self._win_end or self._win_end[-1] <= boundary:
+        while True:
+            self._cut_windows(final=False)
+            if self._available() and self._pending.end_us[-1] > boundary:
+                break
             if not self._pump():
                 break
-        first_live = 0
-        while (
-            first_live < len(self._win_end)
-            and self._win_end[first_live] <= boundary
-        ):
-            first_live += 1
-        windows = [
-            TraceWindow(
-                index=self._win_index[w],
-                start_us=self._win_start[w],
-                end_us=self._win_end[w],
-                events=_chain_events(
-                    self._chunk_chain, self._win_lo[w], self._win_hi[w]
-                ),
-            )
-            for w in range(first_live)
-        ]
-        self._win_cursor = first_live
-        if first_live:
-            self._consumed_abs = self._win_hi[first_live - 1]
-            self._compact()
+        first_live = int(np.searchsorted(self._pending.end_us, boundary, side="right"))
+        windows = materialize_layout_windows(
+            _ChunkChain(self._chunks), self._pending, self._cursor, first_live
+        )
+        self._cursor = first_live
         return windows
 
     def batches(
@@ -719,8 +697,8 @@ class StreamingWindowSource:
 
         Single-pass: pulls chunks from the source on demand, yields a
         batch as soon as ``batch_size`` windows have completed (only the
-        final batch may be shorter), and releases buffered events once
-        their batch is out.  Signature-compatible with
+        final batch may be shorter), and drops batched events when it
+        buffers the next chunk.  Signature-compatible with
         :meth:`~repro.trace.stream.ColumnarWindowSource.batches`, so the
         fleet treats both source kinds uniformly.
         """
@@ -732,112 +710,37 @@ class StreamingWindowSource:
         self._ensure_started(default_window_duration_us)
 
         def _generate() -> Iterator[WindowBatch]:
-            mapper = _StreamCodeMapper(registry)
+            mapper = _ColumnCodeMapper(registry)
             while True:
-                while self._available() >= batch_size:
-                    yield self._build_batch(registry, mapper, batch_size)
+                while self._fill(batch_size):
+                    yield self._take_batch(registry, mapper, batch_size)
                 if not self._pump():
                     break
             while self._available():
-                yield self._build_batch(
+                yield self._take_batch(
                     registry, mapper, min(batch_size, self._available())
                 )
 
         return _generate()
 
-    def _build_batch(
+    def _take_batch(
         self,
         registry: EventTypeRegistry,
-        mapper: _StreamCodeMapper,
+        mapper: _ColumnCodeMapper,
         n_windows: int,
     ) -> WindowBatch:
-        cursor = self._win_cursor
-        stop = cursor + n_windows
-        offsets_abs = np.empty(n_windows + 1, dtype=np.int64)
-        offsets_abs[:-1] = self._win_lo[cursor:stop]
-        offsets_abs[-1] = self._win_hi[stop - 1]
-        lo_abs, hi_abs = int(offsets_abs[0]), int(offsets_abs[-1])
-        rel_lo = lo_abs - self._buf_base
-        rel_hi = hi_abs - self._buf_base
-        file_codes = self._code_buf[rel_lo:rel_hi]
-        mapper.extend(self._global_names)
-        dimension_before = len(registry)
-        growth = mapper.register_span(file_codes, lo_abs, registry)
-        codes = mapper.map[file_codes]
-        if growth.size:
-            dims = dimension_before + np.searchsorted(
-                growth, offsets_abs[1:], side="left"
-            )
-        else:
-            dims = np.full(n_windows, dimension_before, dtype=np.int64)
-        sizes = encoded_window_sizes_columns(
-            _SpanView(
-                self._ts_buf,
-                self._code_buf,
-                self._core_buf,
-                self._static_buf,
-                tuple(self._global_names),
-            ),
-            offsets_abs - self._buf_base,
+        w0 = self._cursor
+        w1 = w0 + n_windows
+        lo = int(self._pending.event_offsets[w0])
+        hi = int(self._pending.event_offsets[w1])
+        span = _ChunkChain(
+            (first, chunk)
+            for first, chunk in self._chunks
+            if first < hi and first + len(chunk) > lo
         )
-        indices = np.array(self._win_index[cursor:stop], dtype=np.int64)
-        starts = np.array(self._win_start[cursor:stop], dtype=np.int64)
-        ends = np.array(self._win_end[cursor:stop], dtype=np.int64)
-        span_chunks = [
-            (chunk_start, chunk)
-            for chunk_start, chunk in self._chunk_chain
-            if chunk_start < hi_abs and chunk_start + len(chunk) > lo_abs
-        ]
-        offsets_snapshot = offsets_abs.copy()
-
-        def factory(position: int) -> TraceWindow:
-            return TraceWindow(
-                index=int(indices[position]),
-                start_us=int(starts[position]),
-                end_us=int(ends[position]),
-                events=_chain_events(
-                    span_chunks,
-                    int(offsets_snapshot[position]),
-                    int(offsets_snapshot[position + 1]),
-                ),
-            )
-
-        batch = WindowBatch(
-            codes=codes,
-            offsets=offsets_abs - lo_abs,
-            indices=indices,
-            start_us=starts,
-            end_us=ends,
-            dims=dims,
-            dimension=len(registry),
-            windows=None,
-            window_sizes=sizes,
-            window_factory=factory,
+        batch = _build_layout_batch(
+            self._buffer, self._pending, registry, mapper, w0, w1, span
         )
-        self._win_cursor = stop
-        self._consumed_abs = hi_abs
+        self._cursor = w1
         self.stats.batches += 1
-        self._compact()
         return batch
-
-    def _compact(self) -> None:
-        """Release buffered events and windows already handed over."""
-        cut = self._consumed_abs - self._buf_base
-        if cut > 0:
-            self._ts_buf = self._ts_buf[cut:].copy()
-            self._code_buf = self._code_buf[cut:].copy()
-            self._core_buf = self._core_buf[cut:].copy()
-            self._static_buf = self._static_buf[cut:].copy()
-            self._buf_base = self._consumed_abs
-            self._chunk_chain = [
-                (chunk_start, chunk)
-                for chunk_start, chunk in self._chunk_chain
-                if chunk_start + len(chunk) > self._consumed_abs
-            ]
-        if self._win_cursor:
-            del self._win_index[: self._win_cursor]
-            del self._win_start[: self._win_cursor]
-            del self._win_end[: self._win_cursor]
-            del self._win_lo[: self._win_cursor]
-            del self._win_hi[: self._win_cursor]
-            self._win_cursor = 0

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.analysis.parallel as parallel_backend
 from repro.analysis.fleet import ShardedTraceMonitor
@@ -28,9 +29,11 @@ from repro.cli.main import build_parser, main as cli_main
 from repro.config import DetectorConfig, MonitorConfig
 from repro.errors import (
     ConfigurationError,
+    ReproError,
     TraceFormatError,
     TraceStreamError,
 )
+from repro.trace.batch import batch_windows
 from repro.trace.codec import BinaryTraceCodec, JsonTraceCodec
 from repro.trace.columns import (
     BinaryColumnsDecoder,
@@ -42,8 +45,14 @@ from repro.trace.columns import (
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.pipeline import BoundedHandoff, HandoffStats, prefetch_batches
-from repro.trace.reader import read_trace_columns
-from repro.trace.stream import WindowPolicy, iter_column_batches
+from repro.trace.reader import iter_window_batches, read_trace_columns
+from repro.trace.stream import (
+    ColumnarWindowSource,
+    TraceStream,
+    WindowPolicy,
+    windows_by_count,
+    windows_by_duration,
+)
 from repro.trace.streaming import (
     FileTail,
     PushFeed,
@@ -555,17 +564,14 @@ def test_file_tail_idle_timeout_zero_reads_existing_bytes(tmp_path):
 # StreamingWindowSource == one-shot batch layout
 # ---------------------------------------------------------------------- #
 def one_shot_batches(columns, registry, policy, emit_empty=True):
-    return list(
-        iter_column_batches(
-            columns,
-            registry,
-            batch_size=8,
-            policy=policy,
-            window_duration_us=WINDOW_US,
-            events_per_window=100,
-            emit_empty=emit_empty,
-        )
+    source = ColumnarWindowSource(
+        columns,
+        policy=policy,
+        window_duration_us=WINDOW_US,
+        events_per_window=100,
+        emit_empty=emit_empty,
     )
+    return list(source.batches(registry, 8))
 
 
 def streaming_batches(path, recipe):
@@ -651,6 +657,160 @@ def test_streaming_empty_stream_raises():
 def test_streaming_source_requires_exactly_one_input():
     with pytest.raises(TraceStreamError, match="exactly one"):
         StreamingWindowSource()
+
+
+# ---------------------------------------------------------------------- #
+# Error parity and the object-path differential property
+# ---------------------------------------------------------------------- #
+def _object_path(events, policy, start_us):
+    return list(
+        TraceStream(events).windows(
+            policy, window_duration_us=WINDOW_US, events_per_window=4, start_us=start_us
+        )
+    )
+
+
+def _one_shot_path(events, policy, start_us):
+    source = ColumnarWindowSource(
+        TraceColumns.from_events(events),
+        policy=policy,
+        window_duration_us=WINDOW_US,
+        events_per_window=4,
+        start_us=start_us,
+    )
+    return list(source.batches(EventTypeRegistry(), 4))
+
+
+def _streaming_path(events, policy, start_us):
+    recipe = StreamRecipe(
+        policy=policy,
+        window_duration_us=WINDOW_US,
+        events_per_window=4,
+        start_us=start_us,
+    )
+    source = StreamingWindowSource(
+        columns_chunks=[TraceColumns.from_events(events)], recipe=recipe
+    )
+    return list(source.batches(EventTypeRegistry(), 4))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [_object_path, _one_shot_path, _streaming_path],
+    ids=["object", "one-shot", "streaming"],
+)
+@pytest.mark.parametrize(
+    "policy,error",
+    [
+        (WindowPolicy.BY_DURATION, TraceStreamError),
+        (WindowPolicy.BY_COUNT, TraceFormatError),
+    ],
+)
+def test_event_before_start_raises_the_object_path_error(path, policy, error):
+    """Every ingest path raises the object path's error class per policy."""
+    events = [
+        TraceEvent(timestamp_us=50, etype="vsync"),
+        TraceEvent(timestamp_us=150, etype="vsync"),
+    ]
+    with pytest.raises(ReproError) as raised:
+        path(events, policy, start_us=100)
+    assert type(raised.value) is error
+
+
+_TYPE_POOL = ("vsync", "audio_decode", "mb_row_decode", "novel_a", "novel_b")
+
+
+@st.composite
+def _streams(draw):
+    """Random event lists, chunk splits, windowing and registry recipes."""
+    start_us = draw(st.sampled_from([0, 1, 37, 1000]))
+    duration = draw(st.integers(10, 50))
+    first = start_us + draw(st.integers(0, 3 * duration))  # leading empty slots
+    gaps = draw(
+        st.lists(st.sampled_from([0, 0, 1, 2, 5, 17, 60, 140]), max_size=60)
+    )
+    timestamps = [first]
+    for gap in gaps:
+        timestamps.append(timestamps[-1] + gap)
+    n = draw(st.integers(0, len(timestamps)))
+    events = [
+        TraceEvent(
+            timestamp_us=t,
+            etype=draw(st.sampled_from(_TYPE_POOL)),
+            core=draw(st.integers(0, 3)),
+            task=draw(st.sampled_from(["gst", "vdec"])),
+            args=draw(st.sampled_from([{}, {"frame": 7}])),
+        )
+        for t in timestamps[:n]
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    bounds = [0, *cuts, n]
+    chunks = [events[a:b] for a, b in zip(bounds, bounds[1:])]  # may be empty
+    seeded = draw(st.lists(st.sampled_from(_TYPE_POOL), unique=True, max_size=3))
+    return {
+        "events": events,
+        "chunks": chunks,
+        "start_us": start_us,
+        "duration": duration,
+        "per_window": draw(st.integers(1, 6)),
+        "batch_size": draw(st.integers(1, 5)),
+        "seeded": seeded,
+    }
+
+
+@pytest.mark.parametrize(
+    "policy,emit_empty",
+    [
+        (WindowPolicy.BY_DURATION, True),
+        (WindowPolicy.BY_DURATION, False),
+        (WindowPolicy.BY_COUNT, True),
+    ],
+)
+@settings(max_examples=120, deadline=None)
+@given(case=_streams())
+def test_streaming_source_matches_object_reference(case, policy, emit_empty):
+    """Any chunking of any stream batches exactly like the object path."""
+    events = case["events"]
+    if policy is WindowPolicy.BY_DURATION:
+        windows = windows_by_duration(
+            iter(events),
+            case["duration"],
+            start_us=case["start_us"],
+            emit_empty=emit_empty,
+        )
+    else:
+        windows = windows_by_count(
+            iter(events), case["per_window"], start_us=case["start_us"]
+        )
+    reference_registry = EventTypeRegistry(case["seeded"])
+    expected = list(
+        batch_windows(windows, reference_registry, batch_size=case["batch_size"])
+    )
+    recipe = StreamRecipe(
+        policy=policy,
+        window_duration_us=case["duration"],
+        events_per_window=case["per_window"],
+        start_us=case["start_us"],
+        emit_empty=emit_empty,
+    )
+    source = StreamingWindowSource(
+        columns_chunks=[TraceColumns.from_events(chunk) for chunk in case["chunks"]],
+        recipe=recipe,
+    )
+    registry = EventTypeRegistry(case["seeded"])
+    actual = list(source.batches(registry, case["batch_size"]))
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        np.testing.assert_array_equal(got.codes, want.codes)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.start_us, want.start_us)
+        np.testing.assert_array_equal(got.end_us, want.end_us)
+        np.testing.assert_array_equal(got.dims, want.dims)
+        assert got.dimension == want.dimension
+        assert got.window_sizes() == want.window_sizes()
+        assert got.to_windows() == want.to_windows()
+    assert registry.names == reference_registry.names
 
 
 # ---------------------------------------------------------------------- #
@@ -987,6 +1147,8 @@ def test_negative_prefetch_rejected_at_monitor_layer(trace_files):
         monitor.run_streaming(
             StreamingWindowSource(iter([b"x"])), prefetch_batches=-2
         )
+    with pytest.raises(ConfigurationError, match="prefetch_batches must be >= 0"):
+        iter_window_batches(trace_files["jsonl"], prefetch=-1)
 
 
 @pytest.mark.parametrize(

@@ -34,9 +34,9 @@ from repro.trace.codec import _varint_size
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.pipeline import prefetch_batches
 from repro.trace.stream import (
+    ColumnarWindowSource,
     column_windows_by_count,
     column_windows_by_duration,
-    iter_column_batches,
     materialize_layout_windows,
     windows_by_count,
     windows_by_duration,
@@ -252,11 +252,8 @@ def test_column_batches_match_object_batches(seed, batch_size):
         registry_col = EventTypeRegistry(["alpha", "beta"])
         expected = list(batch_windows(iter(windows), registry_obj, batch_size))
         produced = list(
-            iter_column_batches(
-                columns,
-                registry_col,
-                batch_size=batch_size,
-                window_duration_us=WINDOW_US,
+            ColumnarWindowSource(columns, window_duration_us=WINDOW_US).batches(
+                registry_col, batch_size
             )
         )
         assert len(produced) == len(expected)
@@ -281,13 +278,9 @@ def test_column_batches_skip_reference_prefix():
     layout = column_windows_by_duration(columns, WINDOW_US)
     skip = layout.n_windows // 2
     batches = list(
-        iter_column_batches(
-            columns,
-            registry,
-            batch_size=8,
-            window_duration_us=WINDOW_US,
-            first_window=skip,
-        )
+        ColumnarWindowSource(
+            columns, window_duration_us=WINDOW_US, first_window=skip
+        ).batches(registry, 8)
     )
     produced = [w for batch in batches for w in batch.to_windows()]
     # Window indices continue where the skipped prefix stopped.
@@ -298,8 +291,8 @@ def test_lazy_window_refs_defer_materialisation():
     events = random_events(random.Random(9), 150)
     columns = TraceColumns.from_events(events)
     registry = EventTypeRegistry()
-    (batch,) = iter_column_batches(
-        columns, registry, batch_size=10_000, window_duration_us=WINDOW_US
+    (batch,) = ColumnarWindowSource(columns, window_duration_us=WINDOW_US).batches(
+        registry, 10_000
     )
     refs = batch.window_refs()
     assert all(isinstance(ref, LazyWindowRef) for ref in refs)
